@@ -41,12 +41,11 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from importlib import resources
+from importlib import metadata, resources
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import click
 import mpmath
-import sympy
 from mpmath import mp
 
 from . import __version__
@@ -319,6 +318,8 @@ def _complex_from(v, path: str) -> mp.mpc:
 
 
 def _rf_from(text, path: str) -> RationalFunc:
+    import sympy  # loaded with the symbol algebra, not at start-up
+
     if not isinstance(text, str):
         raise SchemaError(path, "expected a rational-function expression in t")
     try:
@@ -1083,7 +1084,7 @@ def _write_manifest(path: pathlib.Path, command: str, code: int,
         "versions": {
             "haj": __version__,
             "mpmath": mpmath.__version__,
-            "sympy": sympy.__version__,
+            "sympy": metadata.version("sympy"),
         },
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -1190,9 +1191,15 @@ def _stdio_one(line: str) -> Tuple[str, int]:
     return _canonical_json(doc) + "\n", code
 
 
+def _pool_size(jobs: int, requests: int) -> int:
+    """Worker processes for a batch: no more than the CPUs or the requests."""
+    return max(1, min(jobs, os.cpu_count() or 1, requests))
+
+
 def _stdio_batch(lines: Sequence[str], jobs: int) -> int:
-    if jobs > 1 and len(lines) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, len(lines))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_stdio_one, lines))
     else:
         results = [_stdio_one(line) for line in lines]

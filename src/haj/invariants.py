@@ -48,16 +48,10 @@ from .elliptic import (
 )
 from .numkernel import (
     GUARD_DIGITS,
-    LatticeCut,
-    LatticeSegment,
     NumKernelError,
-    ParamPath,
     PrecisionCtx,
     QuadratureStall,
-    TangencySuspected,
     complex_to_json,
-    detect_crossings,
-    integrate_path,
 )
 from .relations import (
     IntegerRelation,
@@ -344,25 +338,38 @@ def _frac_mpf(q: Fraction) -> mp.mpf:
     return mp.mpf(q.numerator) / q.denominator
 
 
-def _polish_crossing(trace: Callable, cut: LatticeCut, crossing, ctx: PrecisionCtx):
-    # One secant step against the gated coordinate. For affine traces the
-    # coordinate is affine in t, so this lands at working precision; the
-    # bisection root alone is only accurate to ctx.tol, which is the same
-    # order as the reduction snap width and too coarse to evaluate the
-    # second map at a crossing that sits exactly on one of its own cuts.
-    level = mp.mpf(crossing.level) + mp.mpf("0.5")
-    t0 = mp.mpf(crossing.param)
-    h = mp.mpf("0.25")
-    if t0 + h > 1:
-        h = -h
-    s0 = cut.coordinate(trace(t0))
-    slope = (cut.coordinate(trace(t0 + h)) - s0) / h
-    if slope == 0:
-        return t0
-    t1 = t0 - (s0 - level) / slope
-    if abs(t1 - t0) > 2 * mp.sqrt(ctx.tol) or not (0 < t1 < 1):
-        return t0
-    return t1
+# Crossings allowed per cut and loop; above it a huge multiplier is refused
+# instead of walking every level it sweeps.
+_MAX_CROSSINGS = 1024
+
+
+def _cut_crossings(r0, p, ctx: PrecisionCtx) -> list:
+    """Crossings of the coordinate s(t) = r0 + p*t, t in [0, 1], with the levels k + 1/2.
+
+    Returns (t, orientation) pairs sorted by t. Crossing k sits exactly at
+    t = (k + 1/2 - r0)/p with orientation sign(p). A level within
+    sqrt(tol) of either loop end, or a constant coordinate on a level,
+    raises CutGrazing; more than _MAX_CROSSINGS crossings raise
+    StratificationOverflow.
+    """
+    half = mp.mpf("0.5")
+    edge = mp.sqrt(ctx.tol)
+    if abs(p) < ctx.tol:
+        if abs(r0 - mp.floor(r0) - half) < edge:
+            raise CutGrazing("first-map trace runs inside a cut; move the path offset")
+        return []
+    for s in (r0, r0 + p):
+        if abs(s - mp.floor(s) - half) < edge * abs(p):
+            raise CutGrazing("cut crossing at the loop basepoint; move the path offset")
+    k_lo = int(mp.ceil(min(r0, r0 + p) - half))
+    k_hi = int(mp.floor(max(r0, r0 + p) - half))
+    if k_hi - k_lo + 1 > _MAX_CROSSINGS:
+        raise StratificationOverflow(
+            f"the loop crosses {k_hi - k_lo + 1} cut levels, above the cap of {_MAX_CROSSINGS}"
+        )
+    levels = range(k_lo, k_hi + 1) if p > 0 else range(k_hi, k_lo - 1, -1)
+    orient = 1 if p > 0 else -1
+    return [((k + half - r0) / p, orient) for k in levels]
 
 
 def _loop_path_value(spread: BoxSpreadCycle, z0, period, ctx: PrecisionCtx) -> mp.mpc:
@@ -370,7 +377,10 @@ def _loop_path_value(spread: BoxSpreadCycle, z0, period, ctx: PrecisionCtx) -> m
 
     Value = -integral of f1 dg2 over the loop plus, for every cut crossing
     of the reduced first map, the picked-up period times the second map's
-    value at the crossing, signed by the crossing direction.
+    value at the crossing, signed by the crossing direction. The first
+    map's trace is affine in t, so its crossings are found in closed form
+    and the reduced first map is affine between them: the midpoint rule on
+    each piece gives the integral exactly.
     """
     map1, map2 = spread.maps
     lat1 = map1.target_lattice
@@ -382,24 +392,16 @@ def _loop_path_value(spread: BoxSpreadCycle, z0, period, ctx: PrecisionCtx) -> m
         return m1 * (z0 + t * period) + c1
 
     edge = mp.sqrt(ctx.tol)
-    crossings = []  # (polished param, orientation, picked-up period, cut index)
+    crossings = []  # (param, orientation, picked-up period, cut index)
     for idx, coeff in ((0, lat1.omega_alpha), (1, lat1.omega_beta)):
-        cut = LatticeCut(lat1.omega_alpha, lat1.omega_beta, idx, offset=off1)
-        try:
-            found = detect_crossings(trace1, cut, ctx)
-        except TangencySuspected as exc:
-            raise CutGrazing(f"first-map trace grazes a cut: {exc}") from exc
-        disp = cut.coordinate(trace1(mp.mpf(1))) - cut.coordinate(trace1(mp.mpf(0)))
-        net = sum(c.orientation for c in found)
-        if abs(disp - net) > mp.mpf("0.25"):
+        p, _, r0 = _sigma_affine(map1, z0, 0, period, 0, idx)
+        found = _cut_crossings(r0, p, ctx)
+        net = sum(orient for _, orient in found)
+        if abs(p - net) > mp.mpf("0.25"):
             raise InvariantError(
                 "crossing audit failed: net signed count does not match the loop displacement"
             )
-        for c in found:
-            t_hat = _polish_crossing(trace1, cut, c, ctx)
-            if t_hat < edge or t_hat > 1 - edge:
-                raise CutGrazing("cut crossing at the loop basepoint; move the path offset")
-            crossings.append((t_hat, c.orientation, coeff, idx))
+        crossings.extend((t_hat, orient, coeff, idx) for t_hat, orient in found)
     for t_hat, _, _, idx in crossings:
         s, t = lat1.reduce_coords(trace1(t_hat), offset=off1)
         other = t if idx == 0 else s
@@ -417,10 +419,9 @@ def _loop_path_value(spread: BoxSpreadCycle, z0, period, ctx: PrecisionCtx) -> m
 
         g_at = lambda t: map2.cuts.reduce(trace2(t))
         red1 = map1.cuts.reduce
-        path = ParamPath(LatticeSegment(z0, period))
-        splits = [t for t, _, _, _ in crossings]
-        integral = integrate_path(
-            lambda t: red1(trace1(t)) * m2 * period, path, ctx, splits=splits
+        breaks = sorted(t for t, _, _, _ in crossings)
+        integral = _piecewise_line_sum(
+            lambda t, _: red1(trace1(t)) * m2 * period, (0, 0), (1, 0), breaks
         )
 
     corrections = mp.mpc(0)

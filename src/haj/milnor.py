@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-import sympy
 from mpmath import mp
 
 from .cycles import CurveRef, PointSymbol, ZeroCycle, box_cycle, zero_cycle
@@ -37,6 +36,9 @@ from .numkernel import (
     integrate_path,
 )
 from .relations import LatticeMembership, lattice_membership
+
+if TYPE_CHECKING:
+    import sympy
 
 __all__ = [
     "DegreeTooHigh",
@@ -71,14 +73,17 @@ class DegreeTooHigh(MilnorError):
 # Exact rational functions of one variable
 # ---------------------------------------------------------------------------
 
-_T = sympy.Symbol("t")
+# sympy is imported where it is used: only the exact symbol algebra needs it,
+# and it is about half of the package's import footprint.
 
 
 def _poly(coeffs: Sequence[Fraction]) -> sympy.Poly:
+    import sympy
+
     return sympy.Poly(
         [sympy.Rational(c.numerator, c.denominator) for c in reversed(tuple(coeffs))]
         or [0],
-        _T,
+        sympy.Symbol("t"),
         domain="QQ",
     )
 
@@ -162,14 +167,17 @@ class RationalFunc:
     @staticmethod
     def parse(text: str) -> "RationalFunc":
         """Parse a rational expression in t, e.g. ``"(t^2 - 2)/4"``."""
+        import sympy
+
+        t = sympy.Symbol("t")
         expr = sympy.sympify(text.replace("^", "**"), rational=True)
-        extra = expr.free_symbols - {_T}
+        extra = expr.free_symbols - {t}
         if extra:
             raise ValueError(f"unknown symbols {sorted(map(str, extra))} in {text!r}")
         num, den = sympy.together(expr).as_numer_denom()
         return RationalFunc(
-            _coeffs(sympy.Poly(num, _T, domain="QQ")),
-            _coeffs(sympy.Poly(den, _T, domain="QQ")),
+            _coeffs(sympy.Poly(num, t, domain="QQ")),
+            _coeffs(sympy.Poly(den, t, domain="QQ")),
         )
 
     @staticmethod
@@ -283,6 +291,8 @@ class RationalFunc:
         return out
 
     def __str__(self) -> str:
+        import sympy
+
         num = sympy.sstr(_poly(self.numerator).as_expr())
         if self.denominator == (Fraction(1),):
             return num
@@ -699,11 +709,13 @@ def _norm_mod(p: sympy.Poly, h: sympy.Poly) -> Fraction:
     The determinant definition avoids any resultant sign convention; h
     must be coprime to p.
     """
+    import sympy
+
     d = p.degree()
     cur = h.rem(p)
     if cur.is_zero:
         raise ValueError("norm of zero residue class")
-    shift = sympy.Poly([1, 0], _T, domain="QQ")
+    shift = sympy.Poly([1, 0], sympy.Symbol("t"), domain="QQ")
     columns = []
     for _ in range(d):
         coeffs = list(reversed(cur.all_coeffs()))

@@ -3,7 +3,9 @@
 Everything downstream funnels its numerics through this module: a precision
 context with a fixed tolerance ladder, complex serialization that round-trips,
 parametrized paths, a branch-stable AGM, certified path integration, and
-cut-crossing detection for analytic traces.
+detection of analytic traces crossing the logarithm's branch cut (the
+negative real axis). Lattice cuts need no search: the invariant evaluators
+trace affine maps, whose cut crossings they compute in closed form.
 
 The working substrate is mpmath. All public operations run under a local
 working precision of ``digits + GUARD_DIGITS`` decimal digits; callers never
@@ -37,7 +39,6 @@ __all__ = [
     "ParamPath",
     "Crossing",
     "NegativeRealAxis",
-    "LatticeCut",
     "agm",
     "integrate_path",
     "detect_crossings",
@@ -328,49 +329,16 @@ class NegativeRealAxis:
 
 
 @dataclasses.dataclass(frozen=True)
-class LatticeCut:
-    """A straight cut of a period-lattice fundamental domain.
-
-    The domain is centered at ``offset`` with basis (omega_alpha, omega_beta).
-    ``index`` = 0 gates the alpha-coordinate: the cut is crossed when the
-    alpha-coordinate of the trace passes a half-integer level k + 1/2 (the
-    trace wraps in the omega_alpha direction). ``index`` = 1 gates the
-    beta-coordinate likewise.
-    """
-
-    omega_alpha: object
-    omega_beta: object
-    index: int
-    offset: object = 0
-
-    def __post_init__(self) -> None:
-        if self.index not in (0, 1):
-            raise ValueError("index must be 0 or 1")
-
-    def coordinate(self, z) -> mp.mpf:
-        """The continuous lattice coordinate gated by this cut."""
-        wa = mp.mpc(self.omega_alpha)
-        wb = mp.mpc(self.omega_beta)
-        w = mp.mpc(z) - mp.mpc(self.offset)
-        det = wa.real * wb.imag - wa.imag * wb.real
-        if self.index == 0:
-            return (w.real * wb.imag - w.imag * wb.real) / det
-        return (wa.real * w.imag - wa.imag * w.real) / det
-
-
-@dataclasses.dataclass(frozen=True)
 class Crossing:
     """One transversal crossing of a cut.
 
     ``param`` is the path parameter (accurate to ctx.tol), ``point`` the trace
-    value there, ``orientation`` the signed crossing direction, ``level`` the
-    half-integer coordinate level for lattice cuts (None for the axis cut).
+    value there, ``orientation`` the signed crossing direction.
     """
 
     param: object
     point: object
     orientation: int
-    level: Optional[int] = None
 
 
 def _bisect_root(fn: Callable, lo, hi, flo, ctx: PrecisionCtx) -> mp.mpf:
@@ -400,12 +368,15 @@ def detect_crossings(
 ) -> list:
     """Locate transversal crossings of ``trace(t)``, t in [0,1], with a cut.
 
-    Returns Crossing records sorted by parameter. For NegativeRealAxis the
-    orientation is +1 when the trace crosses downward through the cut
-    (imaginary part passing from positive to negative), matching the
-    convention that a positively-oriented loop about the origin crosses the
-    cut exactly once with orientation +1. For LatticeCut the orientation is
-    the sign of d(coordinate)/dt at the crossing.
+    The only cut handled here is NegativeRealAxis; lattice cuts of affine
+    traces are solved in closed form by ``haj.invariants``. The trace is
+    sampled at ``samples`` points and each sign change is bisected.
+
+    Returns Crossing records sorted by parameter. The orientation is +1
+    when the trace crosses downward through the cut (imaginary part passing
+    from positive to negative), matching the convention that a positively-
+    oriented loop about the origin crosses the cut exactly once with
+    orientation +1.
 
     Raises TangencySuspected when the trace approaches the cut without a
     clean sign change, or when two crossings collide at the sampling scale.
@@ -413,8 +384,6 @@ def detect_crossings(
     with ctx.work():
         if isinstance(cut, NegativeRealAxis):
             return _axis_crossings(trace, ctx, samples)
-        if isinstance(cut, LatticeCut):
-            return _lattice_crossings(trace, cut, ctx, samples)
         raise TypeError(f"unknown cut type: {cut!r}")
 
 
@@ -451,7 +420,7 @@ def _tangency_sweep(
     fn_abs: Callable,
     scale,
     ctx: PrecisionCtx,
-    relevant: Callable = None,
+    relevant: Callable,
 ) -> None:
     """Raise TangencySuspected for same-sign local minima that refine to ~0.
 
@@ -467,7 +436,7 @@ def _tangency_sweep(
             continue  # exact hits are classified by the passage scan
         if (vals[i - 1] > 0) != (vals[i] > 0) or (vals[i] > 0) != (vals[i + 1] > 0):
             continue
-        if relevant is not None and not relevant(i):
+        if not relevant(i):
             continue
         a3, b3, c3 = abs(vals[i - 1]), abs(vals[i]), abs(vals[i + 1])
         if b3 <= a3 and b3 <= c3 and b3 < prefilter and (b3 < a3 or b3 < c3):
@@ -486,7 +455,7 @@ def _zero_level_passages(vals: list, ts: list, refine: Callable, relevant: Calla
     pairs where after_sign is +1 when the function passes from - to +. Exact
     zeros landed on by the grid are classified by the surrounding signs;
     touches without a sign change raise TangencySuspected when ``relevant``
-    (a predicate on the sample index, or None for always) says the touch point
+    (a predicate on the sample index) says the touch point
     actually lies on the cut.
     """
     out = []
@@ -496,7 +465,7 @@ def _zero_level_passages(vals: list, ts: list, refine: Callable, relevant: Calla
         if b == 0:
             continue  # classified when scanning the next interval
         if a == 0:
-            matters = relevant is None or relevant(i)
+            matters = relevant(i)
             j = i - 1
             while j >= 0 and vals[j] == 0:
                 j -= 1
@@ -548,51 +517,6 @@ def _axis_crossings(trace: Callable, ctx: PrecisionCtx, samples: int) -> list:
         ctx,
         relevant=lambda i: ws[i].real < 0,
     )
-    _check_separation(out, samples)
-    return out
-
-
-def _lattice_crossings(trace: Callable, cut: LatticeCut, ctx: PrecisionCtx, samples: int) -> list:
-    ts = [mp.mpf(i) / (samples - 1) for i in range(samples)]
-    sigma = [cut.coordinate(trace(t)) for t in ts]
-    out = []
-    margin = mp.mpf("1e-3")  # keep in step with the tangency prefilter
-    lo = min(sigma) - margin
-    hi = max(sigma) + margin
-    k_lo = int(mp.floor(lo - mp.mpf("0.5")))
-    k_hi = int(mp.ceil(hi + mp.mpf("0.5")))
-    for k in range(k_lo, k_hi + 1):
-        level = mp.mpf(k) + mp.mpf("0.5")
-        if level < lo or level > hi:
-            continue
-
-        def refine(low, high, flo, _level=level):
-            return _bisect_root(
-                lambda t: cut.coordinate(trace(t)) - _level, low, high, flo, ctx
-            )
-
-        vals = [s - level for s in sigma]
-        if all(v == 0 for v in vals):
-            raise TangencySuspected(f"trace lies inside cut level {k}+1/2")
-        if vals[-1] == 0 and vals[-2] != 0:
-            raise TangencySuspected(f"trace ends on cut level {k}+1/2 at t=1")
-        for root, after in _zero_level_passages(vals, ts, refine, None):
-            out.append(
-                Crossing(
-                    param=root,
-                    point=mp.mpc(trace(root)),
-                    orientation=after,
-                    level=k,
-                )
-            )
-        _tangency_sweep(
-            vals,
-            ts,
-            lambda t, _level=level: abs(cut.coordinate(trace(t)) - _level),
-            mp.mpf(1),
-            ctx,
-        )
-    out.sort(key=lambda c: mp.mpf(c.param))
     _check_separation(out, samples)
     return out
 

@@ -12,6 +12,7 @@ from haj.cli import (
     PeriodCacheEntry,
     RunConfig,
     SchemaError,
+    _pool_size,
     load_preset,
     main,
     render_doc,
@@ -512,6 +513,18 @@ def test_stdio_worker_pool_preserves_order(runner):
     assert pooled.output == serial.output
     docs = _stdio_lines(pooled)
     assert [d["inputs"]["curve"]["g2"] for d in docs] == ["8", "12", "7", "9"]
+
+
+def test_stdio_pool_size_is_bounded(monkeypatch):
+    # the pool never outgrows the CPUs or the batch; no pool is started here
+    monkeypatch.setattr("haj.cli.os.cpu_count", lambda: 2)
+    assert _pool_size(2, 30) == 2
+    assert _pool_size(10**6, 30) == 2
+    assert _pool_size(10**6, 1) == 1
+    assert _pool_size(1, 30) == 1
+    assert _pool_size(4, 0) == 1
+    monkeypatch.setattr("haj.cli.os.cpu_count", lambda: None)
+    assert _pool_size(8, 30) == 1
 
 
 def test_stdio_error_handling(runner):

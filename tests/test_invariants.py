@@ -7,6 +7,7 @@ nonvanishing decision.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -363,6 +364,54 @@ def test_chi2_json_shape():
         assert set(doc["values"]["alpha"]) == {"re", "im"}
         assert len(doc["lattice_generators"]) == 8
         assert doc["method"] == "PathIntegral"
+
+
+# ---------------------------------------------------------------------------
+# chi2: large first-map multipliers
+# ---------------------------------------------------------------------------
+
+E_REG = EllipticCurve(Fraction(7, 2), Fraction(-1, 2))
+LAT_REG = compute_periods(E_REG, CTX64)
+
+
+def _multiplier_spread(m):
+    A, B = LAT_REG.omega_alpha, LAT_REG.omega_beta
+    return BoxSpreadCycle(E_REG, LAT_REG, (
+        SpreadMap.affine(E_REG, LAT_REG, m, 0),
+        SpreadMap.affine(E_REG, LAT_REG, 1, A / 3 + B / 5),
+    ))
+
+
+def test_chi2_large_multiplier_pinned():
+    # 70 cut crossings on each loop; values frozen from an independent
+    # evaluation by sampled crossing search and Gauss-Legendre quadrature
+    with CTX64.work():
+        v = chi2_box(_multiplier_spread(70), ctx=CTX64)
+        alpha = mp.mpc(
+            "2.791932713194500181100047678808898528471201956069558945699016624441924325047",
+            "37.51710168851876998717954780682505907916859905311731125963158886353513507872",
+        )
+        beta = mp.mpc(
+            "0",
+            "107.5490248404204739632480370462318360269499839522696256109438880754673872257",
+        )
+        assert abs(v.value_alpha - alpha) < mp.mpf("1e-64")
+        assert abs(v.value_beta - beta) < mp.mpf("1e-64")
+
+
+@pytest.mark.parametrize("m", [300, 1100])
+def test_chi2_trace_starting_on_a_cut_grazes(m):
+    # 300/8 and 1100/8 are half-integers: the default offset puts the
+    # basepoint of the alpha loop on a cut level
+    with CTX64.work(), pytest.raises(CutGrazing):
+        chi2_box(_multiplier_spread(m), ctx=CTX64)
+
+
+def test_chi2_huge_multiplier_is_refused_quickly():
+    started = time.perf_counter()
+    with CTX64.work(), pytest.raises(StratificationOverflow):
+        chi2_box(_multiplier_spread(10**6 + 1), ctx=CTX64)
+    assert time.perf_counter() - started < 10
 
 
 # ---------------------------------------------------------------------------

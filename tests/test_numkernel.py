@@ -9,10 +9,17 @@ import random
 import mpmath as mp
 import pytest
 
+from haj.elliptic import CutSystem, EllipticCurve, PeriodLatticeData
+from haj.invariants import (
+    CutGrazing,
+    SpreadMap,
+    StratificationOverflow,
+    _cut_crossings,
+    _sigma_affine,
+)
 from haj.numkernel import (
     CircleAround,
     Crossing,
-    LatticeCut,
     LatticeSegment,
     NegativeRealAxis,
     NonConvergence,
@@ -264,65 +271,76 @@ def test_axis_touch_on_positive_side_is_clean():
     assert crossings == []
 
 
+# Lattice-cut crossings of affine traces, solved in closed form in
+# haj.invariants. The lattices below are bases only; the curve is a label.
+
+E_SQ = EllipticCurve(20, 0)
+UNIT_LAT = PeriodLatticeData(E_SQ, 1, mp.mpc(0, 1), 48)  # basis (1, i)
+
+
 def test_lattice_crossings_square_lattice():
-    cut0 = LatticeCut(1, mp.mpc(0, 1), 0)
-    crossings = detect_crossings(lambda t: mp.mpf(-1) / 8 + 2 * t + 0j, cut0, CTX)
-    assert [(c.orientation, c.level) for c in crossings] == [(1, 0), (1, 1)]
+    # s(t) = -1/8 + 2t crosses 1/2 at t = 5/16 and 3/2 at t = 13/16
     with CTX.work():
-        assert abs(mp.mpf(crossings[0].param) - mp.mpf("0.3125")) < CTX.tol * 4
-        assert abs(mp.mpf(crossings[1].param) - mp.mpf("0.8125")) < CTX.tol * 4
+        found = _cut_crossings(mp.mpf(-1) / 8, mp.mpf(2), CTX)
+        assert [o for _, o in found] == [1, 1]
+        assert [t for t, _ in found] == [mp.mpf("0.3125"), mp.mpf("0.8125")]
 
 
 def test_lattice_crossings_reverse_orientation():
-    cut0 = LatticeCut(1, mp.mpc(0, 1), 0)
-    crossings = detect_crossings(lambda t: mp.mpf(15) / 8 - 2 * t + 0j, cut0, CTX)
-    assert [c.orientation for c in crossings] == [-1, -1]
-    assert [c.level for c in crossings] == [1, 0]
+    # s(t) = 15/8 - 2t meets level 3/2 before level 1/2, both downward
+    with CTX.work():
+        found = _cut_crossings(mp.mpf(15) / 8, mp.mpf(-2), CTX)
+        assert [o for _, o in found] == [-1, -1]
+        assert [t for t, _ in found] == [mp.mpf("0.1875"), mp.mpf("0.6875")]
 
 
 def test_lattice_crossing_grid_exact_hit():
-    # crossing parameter 5/8 lies exactly on the 257-point sampling grid
-    cut0 = LatticeCut(1, mp.mpc(0, 1), 0)
-    crossings = detect_crossings(lambda t: mp.mpf(-1) / 8 + t + 0j, cut0, CTX)
-    assert len(crossings) == 1
-    assert mp.mpf(crossings[0].param) == mp.mpf("0.625")
-    assert crossings[0].orientation == 1
+    with CTX.work():
+        assert _cut_crossings(mp.mpf(-1) / 8, mp.mpf(1), CTX) == [(mp.mpf("0.625"), 1)]
 
 
 def test_lattice_beta_cut_and_offset():
-    cut1 = LatticeCut(1, mp.mpc(0, 1), 1, offset=mp.mpc(0, "0.25"))
-    crossings = detect_crossings(lambda t: mp.mpc(0, 1) * t, cut1, CTX)
-    # beta coordinate runs from -0.25 to 0.75: single crossing of level 1/2
-    assert len(crossings) == 1
-    assert crossings[0].orientation == 1
+    # the beta coordinate of t*i about the offset i/4 runs from -1/4 to 3/4
     with CTX.work():
-        assert abs(mp.mpf(crossings[0].param) - mp.mpf("0.75")) < CTX.tol * 4
-
-
-def test_lattice_tangency_detected():
-    cut0 = LatticeCut(1, mp.mpc(0, 1), 0)
-    with pytest.raises(TangencySuspected):
-        detect_crossings(
-            lambda t: mp.mpf("0.5") - (t - mp.mpf(1) / 3) ** 2 + 0j, cut0, CTX
-        )
+        cuts = CutSystem(UNIT_LAT, basepoint_offset=mp.mpc(0, "0.25"))
+        sm = SpreadMap((1, 0), 0, E_SQ, UNIT_LAT, cuts=cuts)
+        p, _, r0 = _sigma_affine(sm, 0, 0, mp.mpc(0, 1), 0, 1)
+        assert _cut_crossings(r0, p, CTX) == [(mp.mpf("0.75"), 1)]
 
 
 def test_lattice_constant_coordinate_near_cut_is_clean():
-    # trace holds one coordinate at -1/8; no level is ever approached
-    cut1 = LatticeCut(1, mp.mpc(0, 1), 1)
-    crossings = detect_crossings(lambda t: mp.mpc(0, -0.125) + t, cut1, CTX)
-    assert crossings == []
+    # a coordinate held at -1/8 never approaches a level
+    with CTX.work():
+        assert _cut_crossings(mp.mpf(-1) / 8, mp.mpf(0), CTX) == []
+
+
+def test_lattice_tangency_detected():
+    # a constant coordinate sitting on a level runs inside the cut
+    with CTX.work(), pytest.raises(CutGrazing):
+        _cut_crossings(mp.mpf(1) / 2, mp.mpf(0), CTX)
+
+
+def test_lattice_crossings_basepoint_and_cap():
+    with CTX.work():
+        with pytest.raises(CutGrazing):
+            _cut_crossings(mp.mpf(-1) / 2, mp.mpf(3), CTX)
+        with pytest.raises(CutGrazing):
+            _cut_crossings(mp.mpf(-1) / 4, mp.mpf("2.75"), CTX)
+        # 1024 crossings per cut is the most the cap lets through
+        assert len(_cut_crossings(mp.mpf(-1) / 8, mp.mpf(1024), CTX)) == 1024
+        with pytest.raises(StratificationOverflow):
+            _cut_crossings(mp.mpf(-1) / 8, mp.mpf(1025), CTX)
 
 
 def test_lattice_skew_basis_coordinates():
-    wa = mp.mpc(2, 1)
-    wb = mp.mpc(-1, 3)
-    cut = LatticeCut(wa, wb, 0)
     with CTX.work():
-        z = mp.mpf("0.3") * wa + mp.mpf("-0.2") * wb
-        assert abs(cut.coordinate(z) - mp.mpf("0.3")) < CTX.tol
-        cutb = LatticeCut(wa, wb, 1)
-        assert abs(cutb.coordinate(z) + mp.mpf("0.2")) < CTX.tol
+        lat = PeriodLatticeData(E_SQ, mp.mpc(2, 1), mp.mpc(-1, 3), 48)
+        z = mp.mpf("0.3") * lat.omega_alpha + mp.mpf("-0.2") * lat.omega_beta
+        sm = SpreadMap.identity(E_SQ, lat)
+        p, q, r0 = _sigma_affine(sm, z, 0, lat.omega_alpha, 0, 0)
+        assert abs(p - 1) < CTX.tol and q == 0 and abs(r0 - mp.mpf("0.3")) < CTX.tol
+        p, q, r0 = _sigma_affine(sm, z, 0, lat.omega_alpha, 0, 1)
+        assert abs(p) < CTX.tol and abs(r0 + mp.mpf("0.2")) < CTX.tol
 
 
 def test_winding_number_seeded_circles():
