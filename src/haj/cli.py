@@ -30,18 +30,15 @@ bytes exactly because both paths render from the same serialized strings.
 from __future__ import annotations
 
 import dataclasses
-import datetime
 import hashlib
 import json
 import os
 import pathlib
 import random
 import sys
-import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from importlib import metadata, resources
+from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import click
@@ -418,6 +415,8 @@ def _cache_path(cache_dir: pathlib.Path, key: dict) -> pathlib.Path:
 
 
 def _atomic_write_json(path: pathlib.Path, doc: dict) -> None:
+    import tempfile
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
@@ -1074,6 +1073,9 @@ def render_doc(doc: dict, output_format: str) -> str:
 
 def _write_manifest(path: pathlib.Path, command: str, code: int,
                     elapsed: float, session: Session) -> None:
+    import datetime
+    from importlib import metadata
+
     doc = {
         "schema": MANIFEST_SCHEMA,
         "command": command,
@@ -1199,6 +1201,8 @@ def _pool_size(jobs: int, requests: int) -> int:
 def _stdio_batch(lines: Sequence[str], jobs: int) -> int:
     workers = _pool_size(jobs, len(lines))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_stdio_one, lines))
     else:

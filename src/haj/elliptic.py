@@ -189,31 +189,27 @@ INFINITY = CurvePoint.infinity()
 
 
 # ---------------------------------------------------------------------------
-# Laurent coefficients of the Weierstrass function (exact rationals)
+# Laurent coefficients of the Weierstrass function
 # ---------------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=64)
-def _laurent_coeffs(g2: Fraction, g3: Fraction, count: int) -> tuple:
-    """Coefficients c_2..c_{count+1} of p(z) = z^-2 + sum c_k z^{2k-2}.
-
-    c_2 = g2/20, c_3 = g3/28, and for k >= 4
-    c_k = 3/((2k+1)(k-3)) * sum_{m=2}^{k-2} c_m c_{k-m}.
-    """
-    cs = [Fraction(0), Fraction(0), Fraction(g2, 20), Fraction(g3, 28)]
-    for k in range(4, count + 2):
-        acc = Fraction(0)
-        for m in range(2, k - 1):
-            acc += cs[m] * cs[k - m]
-        cs.append(Fraction(3, (2 * k + 1) * (k - 3)) * acc)
-    return tuple(cs[2:])
-
-
-@functools.lru_cache(maxsize=64)
 def _laurent_coeffs_mpf(g2: Fraction, g3: Fraction, count: int, dps: int) -> tuple:
-    # mpf-converted coefficients at a fixed working precision (hot path cache)
+    """Coefficients c_2..c_{count+1} of p(z) = z^-2 + sum c_k z^{2k-2} at dps.
+
+    c_2 = g2/20, c_3 = g3/28, and for k >= 4 (DLMF 23.9)
+    c_k = 3/((2k+1)(k-3)) * sum_{m=2}^{k-2} c_m c_{k-m},
+    run in mpf with GUARD_DIGITS extra digits and rounded to dps.
+    """
+    with mp.workdps(dps + GUARD_DIGITS):
+        cs = [None, None, _to_mpf(g2) / 20, _to_mpf(g3) / 28]
+        for k in range(4, count + 2):
+            acc = mp.mpf(0)
+            for m in range(2, k - 1):
+                acc += cs[m] * cs[k - m]
+            cs.append(3 * acc / ((2 * k + 1) * (k - 3)))
     with mp.workdps(dps):
-        return tuple(_to_mpf(c) for c in _laurent_coeffs(g2, g3, count))
+        return tuple(+c for c in cs[2:])
 
 
 class PeriodLatticeData:
@@ -232,6 +228,7 @@ class PeriodLatticeData:
         self.digits = digits
         if not self.tau.imag > 0:
             raise ValueError("period basis must have Im(tau) > 0")
+        self._shortest = None
 
     def coords(self, z) -> Tuple[mp.mpf, mp.mpf]:
         """Real lattice coordinates (s, t) with z = s*omega_alpha + t*omega_beta."""
@@ -270,15 +267,17 @@ class PeriodLatticeData:
         return mp.mpc(offset) + self.from_coords(s, t)
 
     def shortest_vector_norm(self) -> mp.mpf:
-        best = None
-        for m in range(-2, 3):
-            for n in range(-2, 3):
-                if m == 0 and n == 0:
-                    continue
-                v = abs(m * self.omega_alpha + n * self.omega_beta)
-                if best is None or v < best:
-                    best = v
-        return best
+        """Shortest of the 24 vectors m*alpha + n*beta with |m|, |n| <= 2,
+        computed once at the lattice's own precision."""
+        if self._shortest is None:
+            with mp.workdps(self.digits + GUARD_DIGITS):
+                self._shortest = min(
+                    abs(m * self.omega_alpha + n * self.omega_beta)
+                    for m in range(-2, 3)
+                    for n in range(-2, 3)
+                    if m or n
+                )
+        return self._shortest
 
 
 @dataclasses.dataclass(frozen=True)

@@ -7,10 +7,17 @@ bound (via the algorithm's dual norm bound), or admits defeat with
 membership of a complex vector in the span of generator vectors through a
 single scaled-LLL embedding, producing an explicit certificate either way.
 
-The LLL reduction is the all-integer variant (exact arithmetic, delta = 3/4),
-so certificates never depend on floating-point rounding inside the lattice
-step; floats enter only when residuals of candidate rows are verified against
-the original data.
+Both LLL embeddings (``integer_relation_complex`` and ``lattice_membership``)
+divide the data by their largest modulus and round them to integers at the
+scale 10^s, where s is the decimal height budget 1.5 * n * log10(H) that
+``_require_height_budget`` enforces plus a margin that grows with n; the
+scale never exceeds 10^digits. The scale only has to separate height-H
+relations from everything else, so the LLL entries grow with the height
+bound, not with ``--digits``, and data of any magnitude get the same s
+significant digits. The reduction is the all-integer variant (exact
+arithmetic, delta = 3/4), so certificates never depend on floating-point
+rounding inside the lattice step; every candidate row is verified against
+the original data at full working precision.
 
 A ``NoRelationUpTo`` verdict is search evidence, not a proof: it records the
 exact bounds swept and is labeled non-conclusive in serialized form.
@@ -130,8 +137,14 @@ class LatticeMembership:
 # ---------------------------------------------------------------------------
 
 
+def _height_budget(n: int, max_height: int) -> float:
+    """Decimal digits needed to separate a height-``max_height`` relation
+    among ``n`` numbers: 1.5 * n * log10(H)."""
+    return 1.5 * n * math.log10(max(max_height, 2))
+
+
 def _require_height_budget(n: int, max_height: int, ctx: PrecisionCtx) -> None:
-    budget = 1.5 * n * math.log10(max(max_height, 2))
+    budget = _height_budget(n, max_height)
     if ctx.digits < budget:
         raise PrecisionExhausted(
             "working precision %d digits is below 1.5x the decimal height "
@@ -388,6 +401,34 @@ def lll_reduce(rows: Sequence[Sequence[int]], ctx: Optional[PrecisionCtx] = None
 # ---------------------------------------------------------------------------
 
 
+# Digits of embedding scale beyond the height budget, for N rows. The data
+# are divided by their largest modulus and scaled by 10^s, so with r nonzero
+# real columns a vector that is not a relation is about 10^(s*r/N) long, at
+# least 10^(s/N); a height-H relation is at most N*H long (its scaled column
+# sums N rounding errors). With s = 1.5*N*log10(H) + margin, the spurious
+# length is at least H^1.5 * 10^(margin/N), so a margin with
+# 10^(margin/N) >= 10 * N * 2^((N-1)/2) keeps every height-H relation ten
+# times LLL's worst-case loss 2^((N-1)/2) below the shortest spurious vector,
+# for every N and H. The floor of 10 digits only adds slack at N <= 4.
+_SCALE_MARGIN_FLOOR = 10
+
+
+def _scale_margin(n: int) -> int:
+    return max(_SCALE_MARGIN_FLOOR,
+               math.ceil(n * math.log10(10 * n * 2 ** ((n - 1) / 2))))
+
+
+def _embedding_scale(n: int, max_height: int, size: mp.mpf, ctx: PrecisionCtx) -> mp.mpf:
+    """Scale that gives data of largest modulus ``size`` s significant
+    digits, s the height budget plus margin (at most the precision), and
+    never exceeds 10^digits."""
+    s = min(ctx.digits, math.ceil(_height_budget(n, max_height)) + _scale_margin(n))
+    rel = mp.mpf(10) ** s
+    if size > 0:
+        rel /= size
+    return min(mp.mpf(10) ** ctx.digits, rel)
+
+
 def _scaled_int(x: mp.mpf, scale: mp.mpf) -> int:
     return int(mp.nint(x * scale))
 
@@ -434,8 +475,9 @@ def integer_relation_complex(
     with ctx.work():
         vals = [mp.mpc(x) for x in xs]
         n = len(vals)
-        scale = mp.mpf(10) ** ctx.digits
-        scl = max([mp.mpf(1)] + [abs(v) for v in vals])
+        size = max(abs(v) for v in vals)
+        scale = _embedding_scale(n, max_height, size, ctx)
+        scl = max(mp.mpf(1), size)
         accept = ctx.relation_tol * scl
 
         rows = lll_reduce(_embed_rows([[v] for v in vals], scale), ctx)
@@ -468,9 +510,10 @@ def lattice_membership(
 
     The decision is simultaneous across all 2k real coordinates via one
     scaled-LLL reduction. ``recompute``, when given, must map a PrecisionCtx
-    to a fresh (v, gens) pair evaluated at that precision; member verdicts
-    are then re-verified at doubled precision and must shrink their residual
-    by 10^(digits/4), which a coincidental near-relation cannot do.
+    to a fresh (v, gens) pair evaluated at that precision; it is called at
+    most once, and member verdicts are then re-verified at doubled precision
+    and must shrink their residual by 10^(digits/4), which a coincidental
+    near-relation cannot do.
     """
 
     if len(gens) == 0:
@@ -479,26 +522,24 @@ def lattice_membership(
     if any(len(g) != k for g in gens):
         raise ValueError("v and all generators must share one length")
     m = len(gens)
-    _require_height_budget(m + 1, max(max_height, max_den), ctx)
+    height = max(max_height, max_den)
+    _require_height_budget(m + 1, height, ctx)
 
     with ctx.work():
         vv = [mp.mpc(z) for z in v]
         gg = [[mp.mpc(z) for z in g] for g in gens]
-        scale = mp.mpf(10) ** ctx.digits
-        scl = max(
-            [mp.mpf(1)]
-            + [abs(z) for z in vv]
-            + [abs(z) for g in gg for z in g]
-        )
+        size = max([mp.mpf(0)] + [abs(z) for z in vv] + [abs(z) for g in gg for z in g])
+        scale = _embedding_scale(m + 1, height, size, ctx)
+        scl = max(mp.mpf(1), size)
         accept = ctx.relation_tol * scl
 
         rows = lll_reduce(_embed_rows([vv] + gg, scale), ctx)
 
-        def residual_of(coeffs: Sequence[Fraction]) -> mp.mpf:
+        def residual_of(coeffs: Sequence[Fraction], vs, gs) -> mp.mpf:
             worst = mp.mpf(0)
             for j in range(k):
-                acc = vv[j]
-                for c, g in zip(coeffs, gg):
+                acc = vs[j]
+                for c, g in zip(coeffs, gs):
                     if c:
                         acc -= mp.mpf(c.numerator) / c.denominator * g[j]
                 worst = max(worst, abs(acc))
@@ -513,29 +554,26 @@ def lattice_membership(
             if tail and max(abs(c) for c in tail) > max_height:
                 continue
             coeffs = tuple(Fraction(-c, c0) for c in tail)
-            resid = residual_of(coeffs)
+            resid = residual_of(coeffs, vv, gg)
             candidates.append((resid, max(abs(c) for c in row[: m + 1]), coeffs))
 
         candidates.sort(key=lambda t: (t[0], t[1]))
         notes: List[str] = []
         best_seen: Optional[mp.mpf] = candidates[0][0] if candidates else None
 
+        doubled = None  # (v, gens) at 2x digits, recomputed at most once per call
         for resid, _h, coeffs in candidates:
             if resid >= accept:
                 break
             if recompute is not None:
                 ctx2 = ctx.doubled()
-                v2, gens2 = recompute(ctx2)
+                if doubled is None:
+                    v2, gens2 = recompute(ctx2)
+                    with ctx2.work():
+                        doubled = ([mp.mpc(z) for z in v2],
+                                   [[mp.mpc(z) for z in g] for g in gens2])
                 with ctx2.work():
-                    vv2 = [mp.mpc(z) for z in v2]
-                    gg2 = [[mp.mpc(z) for z in g] for g in gens2]
-                    worst2 = mp.mpf(0)
-                    for j in range(k):
-                        acc = vv2[j]
-                        for c, g in zip(coeffs, gg2):
-                            if c:
-                                acc -= mp.mpf(c.numerator) / c.denominator * g[j]
-                        worst2 = max(worst2, abs(acc))
+                    worst2 = residual_of(coeffs, *doubled)
                 shrink = mp.mpf(10) ** (-mp.mpf(ctx.digits) / 4)
                 floor2 = mp.mpf(10) ** (-(2 * ctx.digits) * mp.mpf(3) / 5) * scl
                 if worst2 > resid * shrink + floor2:

@@ -1,7 +1,10 @@
 """Command line adapters: envelopes, presets, cache, stdio, exit codes."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -525,6 +528,17 @@ def test_stdio_pool_size_is_bounded(monkeypatch):
     assert _pool_size(4, 0) == 1
     monkeypatch.setattr("haj.cli.os.cpu_count", lambda: None)
     assert _pool_size(8, 30) == 1
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    # process pools, package metadata and sympy load only where they are used
+    probe = ("import sys, haj.cli; print(sorted(m for m in ('concurrent.futures', "
+             "'multiprocessing', 'importlib.metadata', 'sympy') if m in sys.modules))")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_stdio_error_handling(runner):

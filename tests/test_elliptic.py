@@ -7,6 +7,8 @@ Independent oracles used here:
 Frozen literals were produced by those oracles in separate runs.
 """
 
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from haj.elliptic import (
     point_add,
     point_mul,
     point_neg,
+    _laurent_coeffs_mpf,
     weierstrass_p,
 )
 
@@ -183,6 +186,48 @@ def test_weierstrass_pole_guard(lat_cm):
         z = 3 * lat_cm.omega_alpha - 2 * lat_cm.omega_beta
     with pytest.raises(PoleAtInput):
         weierstrass_p(z, lat_cm, CTX)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_laurent(g2: Fraction, g3: Fraction, count: int) -> tuple:
+    # the DLMF 23.9 recurrence in exact rationals, the reference for the mpf one
+    cs = [None, None, g2 / 20, g3 / 28]
+    for k in range(4, count + 2):
+        acc = sum((cs[m] * cs[k - m] for m in range(2, k - 1)), Fraction(0))
+        cs.append(Fraction(3, (2 * k + 1) * (k - 3)) * acc)
+    return tuple(cs[2:])
+
+
+@pytest.mark.parametrize("g2, g3", [
+    (Fraction(7, 2), Fraction(-1, 2)),
+    (Fraction(20), Fraction(0)),
+    (Fraction(0), Fraction(4, 3)),
+])
+@pytest.mark.parametrize("dps", [128, 256])
+def test_laurent_coeffs_mpf_match_exact_recurrence(g2, g3, dps):
+    # as many terms as weierstrass_p takes at this working precision; the
+    # exact list is computed once per curve and its prefixes reused
+    count = math.ceil((dps + 12) * math.log(10) / (2 * math.log(10 / 3))) + 4
+    exact = _exact_laurent(g2, g3, 261)[:count]
+    ours = _laurent_coeffs_mpf(g2, g3, count, dps)
+    assert len(ours) == count
+    with mp.workdps(dps + 20):
+        for c, q in zip(ours, exact):
+            if q == 0:
+                assert c == 0
+            else:
+                want = mp.mpf(q.numerator) / q.denominator
+                assert abs(c - want) <= mp.mpf(10) ** (1 - dps) * abs(want)
+
+
+def test_shortest_vector_norm_is_cached_at_lattice_precision(lat_cm):
+    with mp.workdps(lat_cm.digits + 20):
+        want = min(abs(m * lat_cm.omega_alpha + n * lat_cm.omega_beta)
+                   for m in range(-2, 3) for n in range(-2, 3) if m or n)
+    with mp.workdps(15):
+        ell = lat_cm.shortest_vector_norm()
+    assert ell == want
+    assert lat_cm.shortest_vector_norm() is ell
 
 
 def test_elliptic_log_infinity(lat_cm):

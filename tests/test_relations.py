@@ -396,3 +396,137 @@ def test_tau_relation_random_moebius_images():
             assert resid < CTX.relation_tol * 10
             found += 1
     assert found >= 3
+
+
+# ---------------------------------------------------------------------------
+# height-budget scale of the LLL embeddings
+# ---------------------------------------------------------------------------
+
+
+def _planted_membership(ctx):
+    # the chi2 shape: 2 complex components, 4 generators; the planted
+    # relation 1000*v = 10000*g1 - 9999*g2 + 7*g3 + g4 has height 10^4 and
+    # denominator 10^3, the default bounds
+    with ctx.work():
+        gens = [
+            [mp.mpc(mp.sqrt(2), mp.pi), mp.mpc(1, mp.sqrt(3))],
+            [mp.mpc(mp.e, -1), mp.mpc(mp.log(7), mp.sqrt(7))],
+            [mp.mpc(mp.log(5), mp.mpf(1) / 3), mp.mpc(mp.sqrt(11), 2)],
+            [mp.mpc(mp.euler, mp.sqrt(13)), mp.mpc(-mp.catalan, mp.log(3))],
+        ]
+        coeffs = (Fraction(10), Fraction(-9999, 1000), Fraction(7, 1000), Fraction(1, 1000))
+        v = [
+            mp.fsum(mp.mpf(c.numerator) / c.denominator * g[j] for c, g in zip(coeffs, gens))
+            for j in range(2)
+        ]
+    return v, gens, coeffs
+
+
+@pytest.mark.parametrize("digits", [64, 128, 256, 512])
+def test_membership_planted_at_full_height_and_denominator(digits):
+    ctx = PrecisionCtx(digits)
+    v, gens, coeffs = _planted_membership(ctx)
+    cert = lattice_membership(v, gens, max_den=10**3, max_height=10**4, ctx=ctx)
+    assert cert.is_member
+    assert cert.coefficients == coeffs
+    assert cert.residual < ctx.relation_tol
+
+
+def test_integer_relation_complex_planted_height_9999():
+    with CTX.work():
+        a, b = mp.sqrt(2), mp.sqrt(3)
+        c = (9999 * a + 1234 * b) / 5678
+        rel = integer_relation_complex([a, b, c], 10**4, CTX)
+    assert rel is not None
+    assert rel.coeffs == (9999, 1234, -5678)
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+def test_integer_relation_complex_unrelated_radicals(digits):
+    ctx = PrecisionCtx(digits)
+    with ctx.work():
+        rel = integer_relation_complex([mp.mpf(1), mp.sqrt(2), mp.sqrt(3)], 10**4, ctx)
+    assert rel is None
+
+
+def test_embedding_entries_do_not_grow_with_digits(monkeypatch):
+    import haj.relations as relations
+
+    real_lll = relations.lll_reduce
+    largest = []
+
+    def recording_lll(rows, ctx=None):
+        largest.append(max(abs(x) for row in rows for x in row))
+        return real_lll(rows, ctx)
+
+    monkeypatch.setattr(relations, "lll_reduce", recording_lll)
+    seen = {}
+    for digits in (256, 1024):
+        ctx = PrecisionCtx(digits)
+        v, gens, coeffs = _planted_membership(ctx)
+        assert lattice_membership(v, gens, ctx=ctx).coefficients == coeffs
+        with ctx.work():
+            xs = [mp.mpf(1), mp.sqrt(2), 3 - 2 * mp.sqrt(2)]
+        assert integer_relation_complex(xs, 10**4, ctx).coeffs == (3, -2, -1)
+        seen[digits] = tuple(largest)
+        largest.clear()
+    assert seen[256] == seen[1024]
+    assert all(entry < 10**60 for entry in seen[256])
+
+
+def test_membership_amplification_recomputes_once():
+    # v = g1 and g2 = 2*g1: the reduced basis holds two relations with a
+    # nonzero v column, (1, -1, 0) and (1, 1, -1), and both pass the
+    # residual test; perturbed 2x data rejects both
+    ctx = PrecisionCtx(32)
+    with ctx.work():
+        x = mp.mpc(mp.sqrt(2), mp.pi)
+        v, gens = [x], [[x], [2 * x]]
+    calls = []
+
+    def recompute(ctx2):
+        calls.append(ctx2.digits)
+        with ctx2.work():
+            return [x * (1 + mp.mpf(10) ** -20)], gens
+
+    cert = lattice_membership(v, gens, ctx=ctx, recompute=recompute)
+    assert not cert.is_member
+    assert len([n for n in cert.notes if "amplification" in n]) == 2
+    assert calls == [64]
+
+
+@pytest.mark.parametrize("digits,magnitude", [(128, -30), (64, -40), (128, 30)])
+def test_embedding_scale_follows_data_magnitude(digits, magnitude):
+    # the scale is relative to the largest modulus of the data, so a planted
+    # relation far from magnitude 1 keeps the digits it has at magnitude 1
+    ctx = PrecisionCtx(digits)
+    with ctx.work():
+        unit = mp.mpf(10) ** magnitude
+        xs = [unit, unit * mp.sqrt(2), unit * (3 - 2 * mp.sqrt(2))]
+    rel = integer_relation_complex(xs, 10**4, ctx)
+    assert rel is not None and rel.coeffs == (3, -2, -1)
+
+    v, gens, coeffs = _planted_membership(ctx)
+    with ctx.work():
+        v = [z * unit for z in v]
+        gens = [[z * unit for z in g] for g in gens]
+    cert = lattice_membership(v, gens, max_den=10**3, max_height=10**4, ctx=ctx)
+    assert cert.is_member
+    assert cert.coefficients == coeffs
+
+
+def test_scale_margin_covers_lll_loss_at_many_terms():
+    # 12 terms at height 2: the budget is 6 digits, so the margin alone has
+    # to separate the relation from the spurious vectors
+    ctx = PrecisionCtx(64)
+    rng = random.Random("12:2")
+    for _ in range(6):
+        with ctx.work():
+            xs = [mp.sqrt(rng.randrange(2, 10**6)) * rng.choice((1, -1)) for _ in range(11)]
+            cs = [rng.randint(-2, 2) for _ in range(11)]
+            c_last = rng.randint(1, 2)
+            xs.append(-mp.fsum(c * x for c, x in zip(cs, xs)) / c_last)
+        rel = integer_relation_complex(xs, 2, ctx)
+        assert rel is not None
+        with ctx.work():
+            assert abs(mp.fsum(c * x for c, x in zip(rel.coeffs, xs))) < ctx.relation_tol
