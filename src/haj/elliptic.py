@@ -26,7 +26,6 @@ __all__ = [
     "EllipticCurve",
     "CurvePoint",
     "PeriodLatticeData",
-    "Cut",
     "CutSystem",
     "compute_periods",
     "eisenstein_invariants",
@@ -281,31 +280,11 @@ class PeriodLatticeData:
 
 
 @dataclasses.dataclass(frozen=True)
-class Cut:
-    """One marked boundary segment of the fundamental domain.
-
-    ``index`` names the lattice coordinate whose half-integer levels the cut
-    realizes; ``coefficient`` is the period picked up by a crossing.
-    """
-
-    name: str
-    index: int
-    coefficient: object
-
-
-@dataclasses.dataclass(frozen=True)
 class CutSystem:
     """Fundamental parallelogram centered at basepoint_offset with its two cuts."""
 
     lattice: PeriodLatticeData
     basepoint_offset: object = 0
-
-    @property
-    def cuts(self) -> Tuple[Cut, Cut]:
-        return (
-            Cut(name="alpha-hat", index=0, coefficient=self.lattice.omega_alpha),
-            Cut(name="beta-hat", index=1, coefficient=self.lattice.omega_beta),
-        )
 
     def reduce(self, z, snap=None) -> mp.mpc:
         return self.lattice.reduce(z, offset=self.basepoint_offset, snap=snap)

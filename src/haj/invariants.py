@@ -17,6 +17,13 @@ domain cut crossing. The closed-form route evaluates the same quantity in
 finite terms and is available when the first map is the identity. Running
 both and checking agreement is the main internal consistency gate.
 
+Every spread map is affine, so the cut preimages of the first map are
+points on a chi2 loop and lines in the chi3 parameter square, and the
+reduced first map is affine between them. Both invariants are therefore
+evaluated exactly, with no adaptive quadrature: chi2 and the chi3 line
+terms by the midpoint rule per piece, the chi3 bulk by a two-point Gauss
+rule per strip of the line arrangement.
+
 Reduction conventions are load bearing and frozen here: fundamental-domain
 representatives live in the half-open coordinate box [-1/2, 1/2)^2 with
 boundary snapping, a nonconstant map is always reduced, and the translation
@@ -50,7 +57,6 @@ from .numkernel import (
     GUARD_DIGITS,
     NumKernelError,
     PrecisionCtx,
-    QuadratureStall,
     complex_to_json,
 )
 from .relations import (
@@ -338,9 +344,23 @@ def _frac_mpf(q: Fraction) -> mp.mpf:
     return mp.mpf(q.numerator) / q.denominator
 
 
-# Crossings allowed per cut and loop; above it a huge multiplier is refused
-# instead of walking every level it sweeps.
+# Crossings allowed per cut and loop.
 _MAX_CROSSINGS = 1024
+
+
+def _cut_levels(lo, hi, cap: int) -> range:
+    """The integers k with k + 1/2 in [lo, hi], ascending.
+
+    More than ``cap`` of them raise StratificationOverflow, so a huge
+    multiplier is refused at once instead of walking every level it sweeps.
+    """
+    half = mp.mpf("0.5")
+    levels = range(int(mp.ceil(lo - half)), int(mp.floor(hi - half)) + 1)
+    if len(levels) > cap:
+        raise StratificationOverflow(
+            f"{len(levels)} cut levels in the swept span, above the cap of {cap}"
+        )
+    return levels
 
 
 def _cut_crossings(r0, p, ctx: PrecisionCtx) -> list:
@@ -361,15 +381,9 @@ def _cut_crossings(r0, p, ctx: PrecisionCtx) -> list:
     for s in (r0, r0 + p):
         if abs(s - mp.floor(s) - half) < edge * abs(p):
             raise CutGrazing("cut crossing at the loop basepoint; move the path offset")
-    k_lo = int(mp.ceil(min(r0, r0 + p) - half))
-    k_hi = int(mp.floor(max(r0, r0 + p) - half))
-    if k_hi - k_lo + 1 > _MAX_CROSSINGS:
-        raise StratificationOverflow(
-            f"the loop crosses {k_hi - k_lo + 1} cut levels, above the cap of {_MAX_CROSSINGS}"
-        )
-    levels = range(k_lo, k_hi + 1) if p > 0 else range(k_hi, k_lo - 1, -1)
+    levels = _cut_levels(min(r0, r0 + p), max(r0, r0 + p), _MAX_CROSSINGS)
     orient = 1 if p > 0 else -1
-    return [((k + half - r0) / p, orient) for k in levels]
+    return [((k + half - r0) / p, orient) for k in levels[::orient]]
 
 
 def _loop_path_value(spread: BoxSpreadCycle, z0, period, ctx: PrecisionCtx) -> mp.mpc:
@@ -559,12 +573,11 @@ class _CutLine:
     """One cut preimage in the parameter square: p*s + q*t + r = 0.
 
     ``map_pos`` is the 1-based map index, ``index`` the gated target
-    coordinate, ``level`` the integer k of the crossed level k + 1/2.
+    coordinate.
     """
 
     map_pos: int
     index: int
-    level: int
     p: object
     q: object
     r: object
@@ -593,23 +606,14 @@ def _lines_for_map(
     out = []
     for index in (0, 1):
         p, q, r0 = _sigma_affine(sm, z01, z02, period_u, period_w, index)
-        span_lo = r0 + min(mp.mpf(0), p) + min(mp.mpf(0), q)
-        span_hi = r0 + max(mp.mpf(0), p) + max(mp.mpf(0), q)
         if abs(p) < ctx.tol and abs(q) < ctx.tol:
             # constant coordinate: no transversal cut preimage, hence no
             # lines; an on-level constant is resolved by reduction snapping
             continue
-        k_lo = int(mp.floor(span_lo - mp.mpf("0.5") - margin))
-        k_hi = int(mp.ceil(span_hi - mp.mpf("0.5") + margin))
-        if k_hi - k_lo > _MAX_LEVELS:
-            raise StratificationOverflow(
-                f"map {pos} coordinate {index} sweeps {k_hi - k_lo} cut levels"
-            )
-        for k in range(k_lo, k_hi + 1):
-            level = mp.mpf(k) + mp.mpf("0.5")
-            if level < span_lo - margin or level > span_hi + margin:
-                continue
-            out.append(_CutLine(map_pos=pos, index=index, level=k, p=p, q=q, r=r0 - level))
+        lo = r0 + min(mp.mpf(0), p) + min(mp.mpf(0), q) - margin
+        hi = r0 + max(mp.mpf(0), p) + max(mp.mpf(0), q) + margin
+        for k in _cut_levels(lo, hi, _MAX_LEVELS):
+            out.append(_CutLine(map_pos=pos, index=index, p=p, q=q, r=r0 - (k + mp.mpf("0.5"))))
     return out
 
 
@@ -684,23 +688,28 @@ def _piecewise_line_sum(f, x0, x1, breaks) -> mp.mpc:
     return total
 
 
-def _quad_outer(fn, pts, ctx: PrecisionCtx) -> mp.mpc:
-    # gauss-legendre per stratification piece with an error gate, matching
-    # the path quadrature contract
+def _gauss2_sum(fn, pts) -> mp.mpc:
+    """Sum of the two-point Gauss rule over the strips between consecutive pts.
+
+    Exact for integrands that are cubic on each strip. The nodes lie
+    strictly inside the strip: a closed rule would evaluate on the strip
+    ends, where the reduced first map may jump across a cut line.
+    """
     total = mp.mpc(0)
-    for left, right in zip(pts[:-1], pts[1:]):
-        if right - left <= mp.mpf("1e-30"):
-            continue
-        val, err = mp.quad(fn, [left, right], method="gauss-legendre", error=True)
-        if err > ctx.tol * (1 + abs(val)):
-            val, err = mp.quad(
-                fn, [left, (left + right) / 2, right], method="gauss-legendre",
-                error=True, maxdegree=8,
-            )
-            if err > ctx.tol * (1 + abs(val)):
-                raise QuadratureStall("outer stratified quadrature stalled")
-        total += val
+    node = 1 / (2 * mp.sqrt(3))
+    for a, b in zip(pts[:-1], pts[1:]):
+        m, h = (a + b) / 2, b - a
+        total += h / 2 * (fn(m - h * node) + fn(m + h * node))
     return total
+
+
+def _meet(l1: _CutLine, l2: _CutLine, eps):
+    """Intersection (s, t, det) of two cut lines; None when they are parallel within eps."""
+    det = l1.p * l2.q - l2.p * l1.q
+    norm = (abs(l1.p) + abs(l1.q)) * (abs(l2.p) + abs(l2.q))
+    if abs(det) < eps * (norm + 1):
+        return None
+    return (l2.r * l1.q - l1.r * l2.q) / det, (l1.r * l2.p - l2.r * l1.p) / det, det
 
 
 def _v_product_cycle(
@@ -745,12 +754,9 @@ def _v_product_cycle(
                         s_breaks.add(-(ln.q * t_edge + ln.r) / ln.p)
         for i in range(len(lines1)):
             for j in range(i + 1, len(lines1)):
-                li, lj = lines1[i], lines1[j]
-                det = li.p * lj.q - lj.p * li.q
-                norm = (abs(li.p) + abs(li.q)) * (abs(lj.p) + abs(lj.q))
-                if abs(det) < eps * (norm + 1):
-                    continue
-                s_breaks.add((lj.r * li.q - li.r * lj.q) / det)
+                meet = _meet(lines1[i], lines1[j], eps)
+                if meet is not None:
+                    s_breaks.add(meet[0])
         pts = sorted({mp.mpf(0), mp.mpf(1)} | {s for s in s_breaks if 0 < s < 1})
 
         nonvert = [
@@ -758,20 +764,13 @@ def _v_product_cycle(
         ]
 
         def inner(s):
-            tb = []
-            for ln in nonvert:
-                t = -(ln.p * s + ln.r) / ln.q
-                if 0 < t < 1:
-                    tb.append(t)
-            tb.sort()
-            knots = [mp.mpf(0)] + tb + [mp.mpf(1)]
-            acc = mp.mpc(0)
-            for a, b in zip(knots[:-1], knots[1:]):
-                if b > a:
-                    acc += (b - a) * f1(s, (a + b) / 2)
-            return acc
+            # inside a strip the t-breaks move affinely with s and keep their
+            # order, and f1 is the first map less a lattice vector constant on
+            # each piece, so inner(s) is affine there
+            tb = [-(ln.p * s + ln.r) / ln.q for ln in nonvert]
+            return _piecewise_line_sum(f1, (s, 0), (s, 1), sorted(t for t in tb if 0 < t < 1))
 
-        bulk = jac * _quad_outer(inner, pts, ctx)
+        bulk = jac * _gauss2_sum(inner, pts)
 
     # ----- single-cut line terms -----
     single = mp.mpc(0)
@@ -800,21 +799,20 @@ def _v_product_cycle(
     count = 0
     for l2 in lines2:
         for l3 in lines3:
-            det = l2.p * l3.q - l3.p * l2.q
-            norm = (abs(l2.p) + abs(l2.q)) * (abs(l3.p) + abs(l3.q))
-            if abs(det) < eps * (norm + 1):
+            meet = _meet(l2, l3, eps)
+            if meet is None:
                 # parallel; coincident pairs make the point term ill posed
                 seg = _clip_to_square(l3, ctx)
                 if seg is not None:
                     x0 = seg[0]
+                    norm = (abs(l2.p) + abs(l2.q)) * (abs(l3.p) + abs(l3.q))
                     if abs(l2.p * x0[0] + l2.q * x0[1] + l2.r) < eps * (norm + 1):
                         raise CutGrazing(
                             "coincident second- and third-map cut lines; "
                             "perturb the path offsets"
                         )
                 continue
-            s_star = (l3.r * l2.q - l2.r * l3.q) / det
-            t_star = (l2.r * l3.p - l3.r * l2.p) / det
+            s_star, t_star, det = meet
             inside = margin < s_star < 1 - margin and margin < t_star < 1 - margin
             near_edge = (
                 abs(s_star) < margin

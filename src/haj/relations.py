@@ -477,8 +477,8 @@ def integer_relation_complex(
         n = len(vals)
         size = max(abs(v) for v in vals)
         scale = _embedding_scale(n, max_height, size, ctx)
-        scl = max(mp.mpf(1), size)
-        accept = ctx.relation_tol * scl
+        # relative, so data far below modulus 1 cannot pass with any relation
+        accept = ctx.relation_tol * size
 
         rows = lll_reduce(_embed_rows([[v] for v in vals], scale), ctx)
         candidates = []
@@ -489,7 +489,7 @@ def integer_relation_complex(
             if max(abs(c) for c in coeffs) > max_height:
                 continue
             resid = abs(mp.fsum(c * v for c, v in zip(coeffs, vals)))
-            if resid < accept:
+            if resid <= accept:
                 candidates.append((max(abs(c) for c in coeffs), coeffs, resid))
         if not candidates:
             return None

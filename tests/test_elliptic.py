@@ -403,15 +403,6 @@ def test_reduce_roundtrip(lat_cm):
             assert abs(red - z) < CTX.tol * 10
 
 
-def test_cut_system_tags(lat_cm):
-    cs = CutSystem(lat_cm)
-    a_hat, b_hat = cs.cuts
-    assert a_hat.name == "alpha-hat" and a_hat.index == 0
-    assert b_hat.name == "beta-hat" and b_hat.index == 1
-    assert a_hat.coefficient == lat_cm.omega_alpha
-    assert b_hat.coefficient == lat_cm.omega_beta
-
-
 def test_cut_system_offset_reduction(lat_cm):
     with CTX.work():
         off = -(lat_cm.omega_alpha + lat_cm.omega_beta) / 8

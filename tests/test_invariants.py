@@ -644,7 +644,7 @@ def test_chi3_matches_the_geometric_oracle():
     with CTX.work():
         A, B = LAT.omega_alpha, LAT.omega_beta
         z0 = -(A + B) / 8
-        tol = mp.power(10, -(CTX.digits // 3))
+        tol = mp.power(10, -CTX.digits)
         for sp in _chi3_configs():
             v = chi3_box(sp, ctx=CTX)
             parts = dict(v.pairings)
@@ -652,6 +652,22 @@ def test_chi3_matches_the_geometric_oracle():
                 pu, pw = (A, B)[iu], (A, B)[iw]
                 want = _oracle_v(sp, pu, pw, z0, z0)
                 assert abs(parts[label]["value"] - want) < tol, (label, sp.maps)
+
+
+def test_chi3_needs_no_quadrature(monkeypatch):
+    # every chi3 term is a finite sum over the cut arrangement
+    with CTX.work():
+        want = [chi3_box(sp, ctx=CTX) for sp in _chi3_configs()]
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("chi3 ran an adaptive quadrature")
+
+    monkeypatch.setattr(mp.mp, "quad", no_quad)
+    with CTX.work():
+        for sp, v0 in zip(_chi3_configs(), want):
+            v = chi3_box(sp, ctx=CTX)
+            assert (v.value_diag, v.value_mixed) == (v0.value_diag, v0.value_mixed)
+            assert v.pairings == v0.pairings
 
 
 def test_chi3_pinned_value():

@@ -515,6 +515,19 @@ def test_embedding_scale_follows_data_magnitude(digits, magnitude):
     assert cert.coefficients == coeffs
 
 
+def test_relation_acceptance_is_relative_to_the_data():
+    # 10^-70 is below the relation tolerance at 64 digits: the data round
+    # to zero in the embedding, and an absolute acceptance bound would pass
+    # the trivial relation (0, 0, 1)
+    with CTX.work():
+        unit = mp.mpf(10) ** -70
+        xs = [unit, unit * mp.sqrt(2), unit * (3 - 2 * mp.sqrt(2))]
+    assert integer_relation_complex(xs, 10**4, CTX) is None
+    # exactly vanishing data still satisfy every relation
+    rel = integer_relation_complex([mp.mpc(0)] * 3, 10, CTX)
+    assert rel is not None and rel.residual == 0
+
+
 def test_scale_margin_covers_lll_loss_at_many_terms():
     # 12 terms at height 2: the budget is 6 digits, so the margin alone has
     # to separate the relation from the spurious vectors
