@@ -90,6 +90,7 @@ from .invariants import (
     InvariantError,
     MethodUnsupported,
     SpreadMap,
+    StratificationOverflow,
     chi2_box,
     chi2_reduce,
     chi3_box,
@@ -137,6 +138,7 @@ _HINTS: Tuple[Tuple[type, str], ...] = (
     (TangencySuspected, "move the loop away from the branch cut"),
     (CutGrazing, "perturb the loop center, radius, or path offsets"),
     (MethodUnsupported, "pick a method this spread supports"),
+    (StratificationOverflow, "use lower-degree functions or smaller multipliers"),
     (DegreeTooHigh, "raise --degree-cap or use smaller factors"),
     (ZeroEntry, "symbol entries must be nonzero rational functions"),
     (PoleAtInput, "the input sits on a pole; choose another point"),

@@ -316,21 +316,8 @@ def eisenstein_invariants(omega_alpha, omega_beta, ctx: PrecisionCtx) -> Tuple[m
     geometric convergence at any precision.
     """
     with ctx.work():
-        w1 = mp.mpc(omega_alpha)
-        w2 = mp.mpc(omega_beta)
-        # Gauss reduction of the basis pair
-        for _ in range(8 * ctx.digits):
-            proj = (w2 * mp.conj(w1)).real / abs(w1) ** 2
-            n = mp.nint(proj)
-            w2 = w2 - n * w1
-            if abs(w2) < abs(w1):
-                w1, w2 = w2, w1
-            else:
-                break
+        w1, w2 = _gauss_reduce(omega_alpha, omega_beta, ctx)
         tau = w2 / w1
-        if tau.imag < 0:
-            tau = -tau
-            w2 = -w2
         q = mp.exp(2j * mp.pi * tau)
         # |q| <= exp(-pi*sqrt(3)) after reduction; sum until terms die
         terms = int(mp.ceil((ctx.digits + GUARD_DIGITS + 10) * mp.log(10) / (-mp.log(abs(q))))) + 3

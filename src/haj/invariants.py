@@ -21,8 +21,9 @@ Every spread map is affine, so the cut preimages of the first map are
 points on a chi2 loop and lines in the chi3 parameter square, and the
 reduced first map is affine between them. Both invariants are therefore
 evaluated exactly, with no adaptive quadrature: chi2 and the chi3 line
-terms by the midpoint rule per piece, the chi3 bulk by a two-point Gauss
-rule per strip of the line arrangement.
+terms by the midpoint rule per piece, the chi3 bulk by the midpoint rule
+per strip of the line arrangement, whose inner line integral is affine
+across each strip.
 
 Reduction conventions are load bearing and frozen here: fundamental-domain
 representatives live in the half-open coordinate box [-1/2, 1/2)^2 with
@@ -688,21 +689,6 @@ def _piecewise_line_sum(f, x0, x1, breaks) -> mp.mpc:
     return total
 
 
-def _gauss2_sum(fn, pts) -> mp.mpc:
-    """Sum of the two-point Gauss rule over the strips between consecutive pts.
-
-    Exact for integrands that are cubic on each strip. The nodes lie
-    strictly inside the strip: a closed rule would evaluate on the strip
-    ends, where the reduced first map may jump across a cut line.
-    """
-    total = mp.mpc(0)
-    node = 1 / (2 * mp.sqrt(3))
-    for a, b in zip(pts[:-1], pts[1:]):
-        m, h = (a + b) / 2, b - a
-        total += h / 2 * (fn(m - h * node) + fn(m + h * node))
-    return total
-
-
 def _meet(l1: _CutLine, l2: _CutLine, eps):
     """Intersection (s, t, det) of two cut lines; None when they are parallel within eps."""
     det = l1.p * l2.q - l2.p * l1.q
@@ -757,20 +743,22 @@ def _v_product_cycle(
                 meet = _meet(lines1[i], lines1[j], eps)
                 if meet is not None:
                     s_breaks.add(meet[0])
-        pts = sorted({mp.mpf(0), mp.mpf(1)} | {s for s in s_breaks if 0 < s < 1})
+        pts = sorted(s for s in s_breaks if 0 < s < 1)
 
         nonvert = [
             ln for ln in lines1 if abs(ln.q) > eps * (abs(ln.p) + abs(ln.q))
         ]
 
-        def inner(s):
+        def inner(s, _):
             # inside a strip the t-breaks move affinely with s and keep their
             # order, and f1 is the first map less a lattice vector constant on
             # each piece, so inner(s) is affine there
             tb = [-(ln.p * s + ln.r) / ln.q for ln in nonvert]
             return _piecewise_line_sum(f1, (s, 0), (s, 1), sorted(t for t in tb if 0 < t < 1))
 
-        bulk = jac * _gauss2_sum(inner, pts)
+        # the midpoint rule per strip is exact for the affine inner(s), and
+        # it never evaluates on a strip end, where f1 may jump across a cut
+        bulk = jac * _piecewise_line_sum(inner, (0, 0), (1, 0), pts)
 
     # ----- single-cut line terms -----
     single = mp.mpc(0)

@@ -13,6 +13,13 @@ regulator pairing therefore carries a correction term supported on the
 loop's crossings of f^{-1}((-inf, 0)); its sign is calibrated so that a
 positively oriented small circle about a simple zero x0 of f evaluates
 to -2*pi*i*log g(x0), shrinking onto the residue as the radius drops.
+
+Every loop is a circle and f, g have rational coefficients, so the loop
+geometry is polynomial root finding with no sampling: the crossings are
+the roots on the unit circle of one polynomial (numkernel.detect_crossings),
+and the roots of the exact square-free factors of f and g keep the loop
+clear of every zero and pole and audit the crossings by the argument
+principle (net signed crossings = zeros minus poles of f inside).
 """
 
 from __future__ import annotations
@@ -24,16 +31,18 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Unio
 from mpmath import mp
 
 from .cycles import CurveRef, PointSymbol, ZeroCycle, box_cycle, zero_cycle
-from .invariants import CutGrazing
+from .invariants import CutGrazing, InvariantError, StratificationOverflow
 from .numkernel import (
-    NegativeRealAxis,
     NumKernelError,
     ParamPath,
     PrecisionCtx,
     TangencySuspected,
+    _derivative,
+    _horner,
     complex_to_json,
     detect_crossings,
     integrate_path,
+    poly_roots,
 )
 from .relations import LatticeMembership, lattice_membership
 
@@ -103,19 +112,6 @@ def _deg(coeffs: Tuple[Fraction, ...]) -> int:
         if coeffs[k] != 0:
             return k
     return 0
-
-
-def _derivative(coeffs: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
-    if len(coeffs) <= 1:
-        return (Fraction(0),)
-    return tuple(k * coeffs[k] for k in range(1, len(coeffs)))
-
-
-def _horner(coeffs: Tuple[Fraction, ...], z):
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * z + mp.mpq(c.numerator, c.denominator)
-    return acc
 
 
 def _horner_exact(coeffs: Tuple[Fraction, ...], x: Fraction) -> Fraction:
@@ -818,55 +814,64 @@ class RegulatorValue:
         }
 
 
-def _divisor_clearance(polys, loop: ParamPath, ctx: PrecisionCtx, samples: int = 257):
-    """Raise CutGrazing when the loop passes too close to a zero of any poly.
+# deg N + deg D of an entry above this is refused before any root finding:
+# the crossing polynomial has up to twice that degree, and its root finding
+# grows about as the cube of it (t^20 takes about 1 s at 48 digits, t^50
+# about 16 s)
+_MAX_LOOP_DEGREE = 50
 
-    Closeness is judged relative to the poly's own scale along the loop,
-    so a deliberately small loop near (but not through) a divisor stays
-    admissible while an actual hit is flagged at working precision.
+
+def _enclosed(coeffs: Tuple[Fraction, ...], loop: ParamPath, ctx: PrecisionCtx) -> int:
+    """Roots of a polynomial inside the loop's circle, with multiplicity.
+
+    The roots come from the exact square-free factors, so each root finder
+    call sees simple roots only. A root within sqrt(tol) * radius of the
+    circle raises CutGrazing: the loop passes through a zero or pole to
+    working precision.
     """
-    floor = mp.sqrt(ctx.tol)
-    for coeffs in polys:
-        if _deg(coeffs) == 0:
-            continue
-        lo, hi = mp.inf, mp.mpf(0)
-        for k in range(samples):
-            v = abs(_horner(coeffs, loop.point(mp.mpf(k) / (samples - 1))))
-            lo, hi = min(lo, v), max(hi, v)
-        if lo < floor * (1 + hi):
-            raise CutGrazing(
-                "loop passes within working tolerance of a zero or pole; "
-                "move the loop or drop its radius more carefully"
-            )
+    center, radius = mp.mpc(loop.kind.center), mp.mpf(loop.kind.radius)
+    edge = mp.sqrt(ctx.tol) * radius
+    count = 0
+    for factor, mult in _poly(coeffs).sqf_list()[1]:
+        for root in poly_roots(_coeffs(factor), ctx):
+            gap = abs(root - center) - radius
+            if abs(gap) <= edge:
+                raise CutGrazing(
+                    "loop passes within working tolerance of a zero or pole; "
+                    "move the loop or drop its radius more carefully"
+                )
+            count += mult if gap < 0 else 0
+    return count
 
 
 def _pair_regulator(f: RationalFunc, g: RationalFunc, loop: ParamPath, ctx: PrecisionCtx):
     if f.is_zero or g.is_zero:
         raise ZeroEntry("regulator needs nonzero entries")
-    num_f, den_f = f.numerator, f.denominator
-    num_g, den_g = g.numerator, g.denominator
-    dnum_g, dden_g = _derivative(num_g), _derivative(den_g)
-    _divisor_clearance((num_f, den_f, num_g, den_g), loop, ctx)
-
-    def trace(t):
-        return _horner(num_f, loop.point(t)) / _horner(den_f, loop.point(t))
-
+    for h in (f, g):
+        if _deg(h.numerator) + _deg(h.denominator) > _MAX_LOOP_DEGREE:
+            raise StratificationOverflow(
+                f"regulator entry {h} has degree above {_MAX_LOOP_DEGREE} "
+                "(numerator plus denominator)"
+            )
     try:
-        crossings = detect_crossings(trace, NegativeRealAxis(), ctx)
+        # every zero and pole needs clearance; those of f also audit the crossings
+        zeros, poles, _, _ = (
+            _enclosed(p, loop, ctx)
+            for p in (f.numerator, f.denominator, g.numerator, g.denominator)
+        )
+        crossings = detect_crossings(f.numerator, f.denominator, loop, ctx)
     except TangencySuspected as exc:
-        raise CutGrazing(
-            f"loop grazes the branch cut of log f: {exc}"
-        ) from exc
-
-    def dlog_g(z):
-        out = _horner(dnum_g, z) / _horner(num_g, z)
-        if den_g != (Fraction(1),):
-            out -= _horner(dden_g, z) / _horner(den_g, z)
-        return out
+        raise CutGrazing(f"loop grazes the branch cut of log f: {exc}") from exc
+    # argument principle: the signed crossings count the winding of f about 0
+    if sum(c.orientation for c in crossings) != zeros - poles:
+        raise InvariantError(
+            "crossing audit failed: net signed count does not match the zeros "
+            "minus poles of f inside the loop"
+        )
 
     def integrand(t):
         z = loop.point(t)
-        return mp.log(trace(t)) * dlog_g(z) * loop.tangent(t)
+        return mp.log(f.eval_mpc(z)) * g.dlog_mpc(z) * loop.tangent(t)
 
     integral = integrate_path(
         integrand, loop, ctx, splits=[c.param for c in crossings]
@@ -874,9 +879,14 @@ def _pair_regulator(f: RationalFunc, g: RationalFunc, loop: ParamPath, ctx: Prec
     two_pi_i = 2j * mp.pi
     delta = mp.mpc(0)
     for c in crossings:
-        z = loop.point(c.param)
-        gval = _horner(num_g, z) / _horner(den_g, z)
-        delta += -two_pi_i * c.orientation * mp.log(gval)
+        gval = g.eval_mpc(loop.point(c.param))
+        log_g = mp.log(gval)
+        if gval.real < 0 and abs(gval.imag) <= ctx.tol * abs(gval):
+            # g sits on its own cut, where rounding would pick the branch: take
+            # the principal value for a downward crossing and its mirror for an
+            # upward one, so the term's (2*pi*i)^2 part is the same either way
+            log_g = mp.mpc(log_g.real, c.orientation * mp.pi)
+        delta += -two_pi_i * c.orientation * log_g
     delta *= loop.orientation
     return integral, delta, crossings
 

@@ -2,10 +2,12 @@
 
 Everything downstream funnels its numerics through this module: a precision
 context with a fixed tolerance ladder, complex serialization that round-trips,
-parametrized paths, a branch-stable AGM, certified path integration, and
-detection of analytic traces crossing the logarithm's branch cut (the
-negative real axis). Lattice cuts need no search: the invariant evaluators
-trace affine maps, whose cut crossings they compute in closed form.
+parametrized paths, a branch-stable AGM, certified path integration, roots of
+polynomials, and the crossings of a rational function along a circle with the
+logarithm's branch cut (the negative real axis). No cut crossing is found by
+sampling: along a circle they are the roots of one polynomial built from the
+function's exact coefficients, and the invariant evaluators trace affine maps,
+whose lattice-cut crossings they compute in closed form.
 
 The working substrate is mpmath. All public operations run under a local
 working precision of ``digits + GUARD_DIGITS`` decimal digits; callers never
@@ -17,6 +19,7 @@ does exactly that).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Callable, Optional, Sequence, Union
 
 import mpmath as mp
@@ -38,11 +41,10 @@ __all__ = [
     "Polyline",
     "ParamPath",
     "Crossing",
-    "NegativeRealAxis",
     "agm",
     "integrate_path",
+    "poly_roots",
     "detect_crossings",
-    "winding_number",
 ]
 
 
@@ -287,13 +289,13 @@ def integrate_path(
     error estimate cannot be pushed below the context tolerance.
     """
     with ctx.work():
+        tol = ctx.tol
         pts = [mp.mpf(0)]
         interior = sorted(set(mp.mpf(s) for s in tuple(splits) + path.breakpoints()))
         for s in interior:
-            if 0 < s < 1 and abs(s - pts[-1]) > mp.mpf("1e-30"):
+            if 0 < s < 1 and s - pts[-1] > tol:
                 pts.append(s)
         pts.append(mp.mpf(1))
-        tol = ctx.tol
         total = mp.mpc(0)
         for left, right in zip(pts[:-1], pts[1:]):
             val, err = mp.quad(
@@ -317,23 +319,17 @@ def integrate_path(
 
 
 # ---------------------------------------------------------------------------
-# Cuts and crossings
+# Polynomial roots and cut crossings
 # ---------------------------------------------------------------------------
-
-
-class NegativeRealAxis:
-    """The branch cut of the principal logarithm: (-inf, 0)."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "NegativeRealAxis()"
 
 
 @dataclasses.dataclass(frozen=True)
 class Crossing:
-    """One transversal crossing of a cut.
+    """One transversal crossing of the negative real axis.
 
-    ``param`` is the path parameter (accurate to ctx.tol), ``point`` the trace
-    value there, ``orientation`` the signed crossing direction.
+    ``param`` is the path parameter, taken from a simple polynomial root and
+    so accurate to about the working precision; ``point`` is the trace value
+    there and ``orientation`` the signed crossing direction.
     """
 
     param: object
@@ -341,216 +337,131 @@ class Crossing:
     orientation: int
 
 
-def _bisect_root(fn: Callable, lo, hi, flo, ctx: PrecisionCtx) -> mp.mpf:
-    # Plain bisection on a sign change; parameter accuracy ctx.tol.
-    tol = ctx.tol
-    lo = mp.mpf(lo)
-    hi = mp.mpf(hi)
-    for _ in range(8 * ctx.digits):
-        mid = (lo + hi) / 2
-        if hi - lo <= tol:
-            return mid
-        fm = fn(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    raise NonConvergence("crossing bisection did not converge")
+def _horner(coeffs: Sequence, z):
+    acc = mp.mpc(0)
+    for c in reversed(coeffs):
+        acc = acc * z + mp.mp.mpq(c.numerator, c.denominator)
+    return acc
 
 
-def detect_crossings(
-    trace: Callable,
-    cut,
-    ctx: PrecisionCtx,
-    samples: int = 257,
-) -> list:
-    """Locate transversal crossings of ``trace(t)``, t in [0,1], with a cut.
+def _derivative(coeffs: Sequence) -> tuple:
+    return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0,)
 
-    The only cut handled here is NegativeRealAxis; lattice cuts of affine
-    traces are solved in closed form by ``haj.invariants``. The trace is
-    sampled at ``samples`` points and each sign change is bisected.
 
-    Returns Crossing records sorted by parameter. The orientation is +1
-    when the trace crosses downward through the cut (imaginary part passing
-    from positive to negative), matching the convention that a positively-
-    oriented loop about the origin crosses the cut exactly once with
-    orientation +1.
+def poly_roots(coeffs: Sequence, ctx: PrecisionCtx) -> list:
+    """All complex roots of sum(coeffs[k] * w^k), constant term first.
 
-    Raises TangencySuspected when the trace approaches the cut without a
-    clean sign change, or when two crossings collide at the sampling scale.
+    The leading coefficient must be nonzero. Durand-Kerner converges
+    quadratically on simple roots with 60 extra bits; a double root converges
+    linearly, about one step per bit, and only at doubled precision, which a
+    single retry supplies. Raises TangencySuspected when the root finder does
+    not converge even then.
     """
+    high_first = list(reversed(coeffs))
+    steps = 50 + 4 * len(coeffs)
     with ctx.work():
-        if isinstance(cut, NegativeRealAxis):
-            return _axis_crossings(trace, ctx, samples)
-        raise TypeError(f"unknown cut type: {cut!r}")
-
-
-def _refined_min(fn_abs: Callable, lo, hi, ctx: PrecisionCtx):
-    # Golden-section minimization of a nonnegative function; returns the
-    # smallest value seen once the bracket is below sqrt(tol).
-    lo = mp.mpf(lo)
-    hi = mp.mpf(hi)
-    stop = mp.sqrt(ctx.tol)
-    phi = (mp.sqrt(5) - 1) / 2
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1 = fn_abs(x1)
-    f2 = fn_abs(x2)
-    best = min(f1, f2)
-    for _ in range(8 * ctx.digits):
-        if hi - lo < stop:
-            return best
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = fn_abs(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = fn_abs(x2)
-        best = min(best, f1, f2)
-    return best
-
-
-def _tangency_sweep(
-    vals: list,
-    ts: list,
-    fn_abs: Callable,
-    scale,
-    ctx: PrecisionCtx,
-    relevant: Callable,
-) -> None:
-    """Raise TangencySuspected for same-sign local minima that refine to ~0.
-
-    A dip of |vals| below scale*1e-3 without a sign change triggers a
-    golden-section refinement; a refined minimum below scale*sqrt(tol) means
-    the trace touches the cut to working precision.
-    """
-    prefilter = scale * mp.mpf("1e-3")
-    threshold = scale * mp.sqrt(ctx.tol)
-    n = len(vals)
-    for i in range(1, n - 1):
-        if vals[i] == 0:
-            continue  # exact hits are classified by the passage scan
-        if (vals[i - 1] > 0) != (vals[i] > 0) or (vals[i] > 0) != (vals[i + 1] > 0):
-            continue
-        if not relevant(i):
-            continue
-        a3, b3, c3 = abs(vals[i - 1]), abs(vals[i]), abs(vals[i + 1])
-        if b3 <= a3 and b3 <= c3 and b3 < prefilter and (b3 < a3 or b3 < c3):
-            m = _refined_min(fn_abs, ts[i - 1], ts[i + 1], ctx)
-            if m < threshold:
-                raise TangencySuspected(
-                    f"trace touches the cut near t={mp.nstr(ts[i], 8)} "
-                    f"(refined clearance {mp.nstr(m, 8)})"
-                )
-
-
-def _zero_level_passages(vals: list, ts: list, refine: Callable, relevant: Callable) -> list:
-    """Signed zero passages of a sampled real function.
-
-    ``vals[i]`` is the gating function at ``ts[i]``. Returns (param, after_sign)
-    pairs where after_sign is +1 when the function passes from - to +. Exact
-    zeros landed on by the grid are classified by the surrounding signs;
-    touches without a sign change raise TangencySuspected when ``relevant``
-    (a predicate on the sample index) says the touch point
-    actually lies on the cut.
-    """
-    out = []
-    n = len(vals)
-    for i in range(n - 1):
-        a, b = vals[i], vals[i + 1]
-        if b == 0:
-            continue  # classified when scanning the next interval
-        if a == 0:
-            matters = relevant(i)
-            j = i - 1
-            while j >= 0 and vals[j] == 0:
-                j -= 1
-            if j < 0:
-                if matters:
-                    raise TangencySuspected("trace starts on the cut at t=0")
-                continue
-            if (vals[j] > 0) == (b > 0):
-                if matters:
-                    raise TangencySuspected(
-                        f"trace touches the cut without crossing at t={mp.nstr(ts[i], 8)}"
-                    )
-                continue
-            if matters:
-                out.append((ts[i], 1 if b > 0 else -1))
-            continue
-        if (a > 0) != (b > 0):
-            root = refine(ts[i], ts[i + 1], a)
-            if root is not None:
-                out.append((root, 1 if b > 0 else -1))
-    return out
-
-
-def _axis_crossings(trace: Callable, ctx: PrecisionCtx, samples: int) -> list:
-    ts = [mp.mpf(i) / (samples - 1) for i in range(samples)]
-    ws = [mp.mpc(trace(t)) for t in ts]
-    ims = [w.imag for w in ws]
-    scale = max([abs(w) for w in ws] + [mp.mpf(1)])
-
-    def refine(lo, hi, flo):
-        root = _bisect_root(lambda t: mp.mpc(trace(t)).imag, lo, hi, flo, ctx)
-        # Sign changes on the positive real half are not cut crossings.
-        return root if mp.mpc(trace(root)).real < 0 else None
-
-    if all(v == 0 for v in ims) and any(w.real < 0 for w in ws):
-        raise TangencySuspected("trace lies inside the cut")
-    if ims[-1] == 0 and ws[-1].real < 0 and ims[-2] != 0:
-        raise TangencySuspected("trace ends on the cut at t=1")
-    passages = _zero_level_passages(ims, ts, refine, lambda i: ws[i].real < 0)
-    out = []
-    for root, after in passages:
-        w = mp.mpc(trace(root))
-        out.append(Crossing(param=root, point=w, orientation=-after))
-    _tangency_sweep(
-        ims,
-        ts,
-        lambda t: abs(mp.mpc(trace(t)).imag),
-        scale,
-        ctx,
-        relevant=lambda i: ws[i].real < 0,
+        prec = mp.mp.prec
+        for extra, limit in ((60, steps), (prec + 60, steps + prec)):
+            try:
+                return mp.polyroots(high_first, maxsteps=limit, extraprec=extra)
+            except mp.mp.NoConvergence:
+                pass
+    raise TangencySuspected(
+        f"root finder did not converge on a degree-{len(coeffs) - 1} polynomial"
     )
-    _check_separation(out, samples)
+
+
+def _shifted(coeffs: Sequence, center, radius) -> list:
+    # coefficients of p(center + radius * w) in w, constant term first
+    out: list = []
+    for c in reversed(coeffs):
+        out = [center * x + radius * y for x, y in zip(out + [0], [0] + out)]
+        out[0] += mp.mp.mpq(c.numerator, c.denominator)
     return out
 
 
-def _check_separation(crossings: list, samples: int) -> None:
-    min_gap = mp.mpf(1) / (4 * (samples - 1))
-    for c1, c2 in zip(crossings[:-1], crossings[1:]):
-        if abs(mp.mpf(c2.param) - mp.mpf(c1.param)) < min_gap:
-            raise TangencySuspected(
-                f"crossings at t={mp.nstr(mp.mpf(c1.param), 8)} and "
-                f"t={mp.nstr(mp.mpf(c2.param), 8)} are too close to separate"
-            )
+def _product(p: list, q: list) -> list:
+    out = [mp.mpc(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
 
 
-def winding_number(trace: Callable, ctx: PrecisionCtx, samples: int = 1024) -> int:
-    """Winding number of a closed trace about the origin (independent of cuts).
+def _reflected(p: list) -> list:
+    # p*(w) = w^deg(p) * conj(p(1/conj(w))), which equals w^deg(p) * conj(p(w)) on |w| = 1
+    return [mp.conj(x) for x in reversed(p)]
 
-    Accumulates continuous argument increments over a fine sampling; each step
-    must rotate by less than pi/2, else the sampling is refined once.
+
+def detect_crossings(num: Sequence, den: Sequence, loop: ParamPath, ctx: PrecisionCtx) -> list:
+    """Crossings of f = num/den with the negative real axis along a circle.
+
+    ``num`` and ``den`` are exact rational coefficient tuples, constant term
+    first, with nonzero leading coefficients; the loop is a ``CircleAround``
+    clear of every zero and pole of f, and t runs as in ``ParamPath.point``
+    (the orientation sign is ignored).
+    On the circle z = c + r*w, |w| = 1, put A(w) = num(z) and B(w) = den(z).
+    Im f vanishes there exactly at the roots on |w| = 1 of
+
+        P(w) = w^deg(num) * A * B* - w^deg(den) * A* * B,
+
+    since P(w) = 2i * w^(deg num + deg den) * |B|^2 * Im f(z) on the circle.
+    The crossings are the roots within sqrt(tol) of |w| = 1 where Re f < 0,
+    each at t = arg(w) / 2pi, and a tangency of the trace with the real axis
+    is a multiple root of P.
+
+    Returns Crossing records sorted by parameter. The orientation is +1 when
+    the trace crosses downward through the cut (imaginary part passing from
+    positive to negative), so a positively oriented loop about a simple zero
+    of f crosses exactly once with orientation +1.
+
+    Raises TangencySuspected when f is real and negative all along the loop,
+    when a crossing lies within sqrt(tol) of t = 0 or t = 1, when two
+    crossings lie within sqrt(tol) of each other, or when the root finder
+    does not converge.
     """
     with ctx.work():
-        for n in (samples, samples * 8):
-            ts = [mp.mpf(i) / n for i in range(n + 1)]
-            ws = [mp.mpc(trace(t)) for t in ts]
-            total = mp.mpf(0)
-            ok = True
-            for a, b in zip(ws[:-1], ws[1:]):
-                if a == 0 or b == 0:
-                    raise NumKernelError("trace passes through the origin")
-                step = mp.arg(b / a)
-                if abs(step) > mp.pi / 2:
-                    ok = False
-                    break
-                total += step
-            if ok:
-                return int(mp.nint(total / (2 * mp.pi)))
-        raise NonConvergence("winding sampling too coarse even after refinement")
+        center, radius = mp.mpc(loop.kind.center), mp.mpf(loop.kind.radius)
+        a, b = _shifted(num, center, radius), _shifted(den, center, radius)
+        lhs = [0] * (len(a) - 1) + _product(a, _reflected(b))
+        rhs = [0] * (len(b) - 1) + _product(_reflected(a), b)
+        size = max(abs(x) for x in lhs + rhs)
+        poly = [x - y for x, y in itertools.zip_longest(lhs, rhs, fillvalue=0)]
+        # coefficients at rounding level are structural zeros: a zero of P at
+        # w = 0 or at infinity lies off the circle and is dropped
+        floor = size * mp.power(10, -(ctx.digits + GUARD_DIGITS // 2))
+        kept = [k for k, x in enumerate(poly) if abs(x) > floor]
+        if not kept:
+            # Im f vanishes identically on the loop, and f keeps one sign there
+            # as long as no zero or pole lies on it
+            z = loop.point(0)
+            if (_horner(num, z) / _horner(den, z)).real < 0:
+                raise TangencySuspected("trace lies inside the cut")
+            return []
+        edge = mp.sqrt(ctx.tol)
+        dnum, dden = _derivative(num), _derivative(den)
+        out = []
+        for w in poly_roots(poly[kept[0] : kept[-1] + 1], ctx):
+            if abs(abs(w) - 1) > edge:
+                continue
+            t = mp.arg(w) / (2 * mp.pi) % 1
+            z = loop.point(t)
+            value = _horner(num, z) / _horner(den, z)
+            if value.real >= 0:
+                continue
+            if t < edge or t > 1 - edge:
+                raise TangencySuspected(
+                    f"trace meets the cut at the loop's base point (t={mp.nstr(t, 8)})"
+                )
+            # d/dt f = (num' - f * den') / den * dz/dt
+            rate = (_horner(dnum, z) - value * _horner(dden, z)) / _horner(den, z)
+            rate *= loop.tangent(t)
+            out.append(Crossing(param=t, point=value, orientation=-1 if rate.imag > 0 else 1))
+        out.sort(key=lambda c: c.param)
+        for c1, c2 in zip(out[:-1], out[1:]):
+            if c2.param - c1.param < edge:
+                raise TangencySuspected(
+                    f"crossings at t={mp.nstr(c1.param, 8)} and "
+                    f"t={mp.nstr(c2.param, 8)} are too close to separate"
+                )
+        return out

@@ -161,6 +161,17 @@ def test_module_error_hints(runner):
     err = doc_of(result)["error"]
     assert "perturb" in err["hint"] or "cut" in err["hint"]
 
+    # a regulator entry past the degree cap is refused before any root finding
+    result = invoke(
+        runner,
+        ["milnor-reg", "--f", "t^60", "--g", "t-3", "--center", "1/10",
+         "--radius", "1", "--digits", "48"],
+    )
+    assert result.exit_code == 1
+    err = doc_of(result)["error"]
+    assert err["type"] == "StratificationOverflow"
+    assert "lower-degree" in err["hint"]
+
     # point off the curve is a schema problem with the field path
     result = invoke(runner, ["ellog", "--g2", "20", "--g3", "0", "--x", "1", "--y", "1"])
     assert result.exit_code == 2

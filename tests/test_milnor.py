@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from haj import milnor
 from haj.cycles import ZeroCycle
-from haj.invariants import CutGrazing
+from haj.invariants import CutGrazing, InvariantError, StratificationOverflow
 from haj.milnor import (
     DegreeTooHigh,
     MilnorSymbolSum,
@@ -417,6 +418,26 @@ def test_regulator_grazing_errors():
     with pytest.raises(CutGrazing):
         # starts exactly on the branch cut: f(1) = -1
         regulator_eval((SHRINK_F, SHRINK_G), ParamPath(CircleAround(0, 1)), CTX)
+
+
+def test_regulator_crossing_audit_refuses_a_lost_crossing(monkeypatch):
+    # one crossing fewer than the zero of f inside the loop asks for
+    with CTX.work():
+        loop = ParamPath(CircleAround(mp.sqrt(2), mp.mpf("0.01")))
+    found = milnor.detect_crossings
+    monkeypatch.setattr(milnor, "detect_crossings", lambda *args: found(*args)[1:])
+    with pytest.raises(InvariantError, match="audit"):
+        regulator_eval((SHRINK_F, SHRINK_G), loop, CTX)
+
+
+def test_regulator_degree_cap_refuses_before_root_finding():
+    with CTX.work():
+        loop = ParamPath(CircleAround(mp.mpf(1) / 10, 1))
+    for pair in ((T**200, T - RationalFunc.const(3)), (T, T**51 - RationalFunc.const(3))):
+        start = time.perf_counter()
+        with pytest.raises(StratificationOverflow):
+            regulator_eval(pair, loop, CTX)
+        assert time.perf_counter() - start < 1
 
 
 def test_regulator_argument_validation():

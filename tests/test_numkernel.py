@@ -5,11 +5,13 @@ closed-form contour integrals, angles read off by elementary trigonometry).
 """
 
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from haj.elliptic import CutSystem, EllipticCurve, PeriodLatticeData
+from haj.milnor import RationalFunc
 from haj.invariants import (
     CutGrazing,
     SpreadMap,
@@ -19,9 +21,7 @@ from haj.invariants import (
 )
 from haj.numkernel import (
     CircleAround,
-    Crossing,
     LatticeSegment,
-    NegativeRealAxis,
     NonConvergence,
     ParamPath,
     Polyline,
@@ -33,7 +33,6 @@ from haj.numkernel import (
     complex_to_json,
     detect_crossings,
     integrate_path,
-    winding_number,
 )
 
 CTX = PrecisionCtx(48)
@@ -207,6 +206,17 @@ def test_integrate_piecewise_with_declared_split():
         assert abs(v - mp.mpf(1) / 4) < CTX.tol * 10
 
 
+def test_integrate_keeps_a_split_close_to_the_end():
+    # a declared step at t = 1e-40 lies far above tol at 128 digits; merging
+    # splits closer than 1e-30 dropped it and returned 1 instead of 1 - 1e-40
+    ctx = PrecisionCtx(128)
+    p = ParamPath(LatticeSegment(0, 1))
+    with ctx.work():
+        step = mp.mpf("1e-40")
+        v = integrate_path(lambda t: mp.mpf(0) if t < step else mp.mpf(1), p, ctx, splits=(step,))
+        assert abs(v - (1 - step)) < ctx.tol * 10
+
+
 def test_quadrature_stall_on_undeclared_jump():
     p = ParamPath(LatticeSegment(0, 1))
     c = mp.mpf(2) ** mp.mpf("-0.5")
@@ -214,61 +224,108 @@ def test_quadrature_stall_on_undeclared_jump():
         integrate_path(lambda t: mp.mpf(0) if t < c else mp.mpf(1), p, CTX)
 
 
+# Log-cut crossings of rational functions along circles: f = num/den with
+# exact coefficients, constant term first.
+
+UNIT = ParamPath(CircleAround(0, 1))
+
+
 def test_axis_crossings_double_loop():
-    # e^{4 pi i t}: crossings at t = 1/4 and 3/4, both downward (+1)
-    crossings = detect_crossings(lambda t: mp.expjpi(4 * t), NegativeRealAxis(), CTX)
+    # z^2 on the unit circle: crossings at t = 1/4 and 3/4, both downward (+1)
+    crossings = detect_crossings((0, 0, 1), (1,), UNIT, CTX)
     assert len(crossings) == 2
     with CTX.work():
-        assert abs(mp.mpf(crossings[0].param) - mp.mpf("0.25")) < CTX.tol * 4
-        assert abs(mp.mpf(crossings[1].param) - mp.mpf("0.75")) < CTX.tol * 4
+        assert abs(mp.mpf(crossings[0].param) - mp.mpf("0.25")) < CTX.tol
+        assert abs(mp.mpf(crossings[1].param) - mp.mpf("0.75")) < CTX.tol
     assert [c.orientation for c in crossings] == [1, 1]
 
 
+def _enclosed(points, center, radius):
+    # exact count of rational points, with multiplicity, inside the circle
+    return sum(
+        mult for a, mult in points if (a - center.real) ** 2 + center.imag**2 < radius**2
+    )
+
+
 def test_axis_crossing_sum_matches_winding():
-    # the signed crossing count of the log cut equals the winding number
+    # argument principle: the signed crossing count of the log cut is the
+    # number of zeros minus poles of f inside the loop
     rng = random.Random(99)
-    for _ in range(12):
-        k = rng.choice([-3, -2, -1, 1, 2, 3])
-        r = mp.mpf(rng.uniform(0.5, 2.0))
-        wobble = mp.mpf(rng.uniform(0, 0.3))
-
-        def trace(t, k=k, r=r, wobble=wobble):
-            return r * (1 + wobble * mp.cospi(2 * t)) * mp.expjpi(2 * k * t)
-
-        w = winding_number(trace, CTX)
-        assert w == k
-        crossings = detect_crossings(trace, NegativeRealAxis(), CTX)
-        assert sum(c.orientation for c in crossings) == k
+    checked = 0
+    while checked < 12:
+        zeros = [(Fraction(rng.randint(-12, 12), 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        poles = [(Fraction(rng.randint(-12, 12), 4), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        if {a for a, _ in zeros} & {b for b, _ in poles}:
+            continue
+        center = complex(Fraction(rng.randint(-8, 8), 4), Fraction(rng.randint(-4, 4), 8))
+        radius = Fraction(rng.randint(2, 12), 4)
+        # keep every divisor point clear of the circle
+        if any(abs(abs(a - center) - radius) < 0.05 for a, _ in zeros + poles):
+            continue
+        num, den = RationalFunc.const(rng.choice((-3, -1, 2))), RationalFunc.const(1)
+        for a, mult in zeros:
+            num = num * RationalFunc((-a, 1)) ** mult
+        for b, mult in poles:
+            den = den * RationalFunc((-b, 1)) ** mult
+        with CTX.work():
+            loop = ParamPath(CircleAround(mp.mpc(center), mp.mpf(radius.numerator) / radius.denominator))
+        crossings = detect_crossings(num.numerator, den.numerator, loop, CTX)
+        expected = _enclosed(zeros, center, radius) - _enclosed(poles, center, radius)
+        assert sum(c.orientation for c in crossings) == expected
+        checked += 1
 
 
 def test_axis_no_crossing_when_left_half_avoided():
-    crossings = detect_crossings(
-        lambda t: 3 + mp.expjpi(2 * t), NegativeRealAxis(), CTX
-    )
-    assert crossings == []
+    # z on the circle about 3 stays in the right half plane
+    assert detect_crossings((0, 1), (1,), ParamPath(CircleAround(3, 1)), CTX) == []
+
+
+# z - 2 - i on the unit circle is z - 2 on the unit circle about -i: the
+# trace touches -2 at z = 0 (t = 1/4) without crossing
+BELOW = mp.mpc(0, -1)
 
 
 def test_axis_tangency_detected():
     with pytest.raises(TangencySuspected):
-        detect_crossings(
-            lambda t: mp.mpc(-1, (t - mp.mpf(1) / 3) ** 2), NegativeRealAxis(), CTX
-        )
+        detect_crossings((-2, 1), (1,), ParamPath(CircleAround(BELOW, 1)), CTX)
 
 
 def test_axis_near_miss_is_clean():
-    crossings = detect_crossings(
-        lambda t: mp.mpc(-1, (t - mp.mpf(1) / 3) ** 2 + mp.mpf("1e-4")),
-        NegativeRealAxis(),
-        CTX,
-    )
-    assert crossings == []
+    with CTX.work():
+        loop = ParamPath(CircleAround(BELOW * (1 + mp.mpf("1e-4")), 1))
+    assert detect_crossings((-2, 1), (1,), loop, CTX) == []
 
 
 def test_axis_touch_on_positive_side_is_clean():
-    crossings = detect_crossings(
-        lambda t: mp.mpc(1, (t - mp.mpf(1) / 3) ** 2), NegativeRealAxis(), CTX
-    )
-    assert crossings == []
+    # z + 2 - i touches +2 instead: a double root of the crossing polynomial
+    assert detect_crossings((2, 1), (1,), ParamPath(CircleAround(BELOW, 1)), CTX) == []
+
+
+def test_axis_crossing_at_the_base_point_refused():
+    # z on the circle of radius 1/2 about -1 meets the cut at z = -1/2, t = 0
+    with CTX.work():
+        loop = ParamPath(CircleAround(-1, mp.mpf(1) / 2))
+    with pytest.raises(TangencySuspected):
+        detect_crossings((0, 1), (1,), loop, CTX)
+
+
+def test_axis_root_finder_failure_refused(monkeypatch):
+    def stuck(*args, **kwargs):
+        raise mp.mp.NoConvergence("stuck")
+
+    monkeypatch.setattr(mp, "polyroots", stuck)
+    with pytest.raises(TangencySuspected):
+        detect_crossings((0, 0, 1), (1,), UNIT, CTX)
+
+
+def test_axis_fast_winding_counted_exactly():
+    # t^20 on the unit circle about 1/10 winds 20 times; a 257-sample scan
+    # undercounts such traces (54 of 200 crossings for t^200)
+    with CTX.work():
+        loop = ParamPath(CircleAround(mp.mpf(1) / 10, 1))
+    crossings = detect_crossings((0,) * 20 + (1,), (1,), loop, CTX)
+    assert len(crossings) == 20
+    assert all(c.orientation == 1 for c in crossings)
 
 
 # Lattice-cut crossings of affine traces, solved in closed form in
@@ -341,13 +398,3 @@ def test_lattice_skew_basis_coordinates():
         assert abs(p - 1) < CTX.tol and q == 0 and abs(r0 - mp.mpf("0.3")) < CTX.tol
         p, q, r0 = _sigma_affine(sm, z, 0, lat.omega_alpha, 0, 1)
         assert abs(p) < CTX.tol and abs(r0 + mp.mpf("0.2")) < CTX.tol
-
-
-def test_winding_number_seeded_circles():
-    rng = random.Random(5)
-    for _ in range(10):
-        cx = rng.uniform(2, 4)  # circle strictly in the right half plane
-        path = ParamPath(CircleAround(mp.mpc(cx, 0), 1))
-        assert winding_number(lambda t: path.point(t), CTX) == 0
-        around = ParamPath(CircleAround(0, mp.mpf(rng.uniform(0.5, 2))))
-        assert winding_number(lambda t: around.point(t), CTX) == 1
