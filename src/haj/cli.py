@@ -51,7 +51,6 @@ from .numkernel import (
     CircleAround,
     NonConvergence,
     NumKernelError,
-    ParamPath,
     PrecisionCtx,
     QuadratureStall,
     TangencySuspected,
@@ -66,8 +65,8 @@ from .elliptic import (
     PeriodLatticeData,
     PeriodValidationFailed,
     PoleAtInput,
+    _validate_basis,
     compute_periods,
-    eisenstein_invariants,
     elliptic_log,
     is_torsion,
 )
@@ -398,17 +397,12 @@ class PeriodCacheEntry:
             return PeriodLatticeData(curve, wa, wb, ctx.digits)
 
     def revalidate(self, curve: EllipticCurve, ctx: PrecisionCtx) -> bool:
-        """Recompute g2, g3 from the stored basis via the Eisenstein series."""
+        """Recompute g2, g3 from the stored basis: the check compute_periods runs."""
         try:
             lat = self.lattice(curve, ctx)
         except ValueError:
             return False
-        with ctx.work():
-            g2e, g3e = eisenstein_invariants(lat.omega_alpha, lat.omega_beta, ctx)
-            g2 = _frac_mpf(curve.g2)
-            g3 = _frac_mpf(curve.g3)
-            tol = mp.power(10, -(ctx.digits // 2)) * (1 + abs(g2) + abs(g3))
-            return abs(g2e - g2) + abs(g3e - g3) < tol
+        return _validate_basis(curve, lat.omega_alpha, lat.omega_beta, ctx)
 
 
 def _cache_path(cache_dir: pathlib.Path, key: dict) -> pathlib.Path:
@@ -742,7 +736,7 @@ def op_psi2(args: dict, cfg: RunConfig, session: Session) -> dict:
     }
 
 
-def _loop_from(args: dict, ctx: PrecisionCtx, radius=None) -> ParamPath:
+def _loop_from(args: dict, ctx: PrecisionCtx, radius=None) -> CircleAround:
     center_doc = _need(args, "center", "inputs")
     with ctx.work():
         if isinstance(center_doc, dict) and "root_of" in center_doc:
@@ -761,7 +755,7 @@ def _loop_from(args: dict, ctx: PrecisionCtx, radius=None) -> ParamPath:
     orientation = args.get("orientation", 1)
     if orientation not in (1, -1):
         raise SchemaError("inputs.orientation", "expected 1 or -1")
-    return ParamPath(CircleAround(center, r), orientation=orientation)
+    return CircleAround(center, r, orientation)
 
 
 def _symbol_pairs_from(args: dict) -> MilnorSymbolSum:
@@ -800,7 +794,7 @@ def op_milnor_reg(args: dict, cfg: RunConfig, session: Session) -> dict:
             loop = _loop_from(args, ctx, radius=radius)
             rv = regulator_eval(symbol, loop, ctx, max_den=cfg.max_den, max_height=cfg.max_height)
             with ctx.work():
-                x0 = loop.kind.center
+                x0 = loop.center
                 target = 2j * mp.pi * mp.log(g.eval_mpc(x0))
                 defect, q = indeterminacy_defect(rv.value + target, ctx)
                 r = _frac_mpf(radius)

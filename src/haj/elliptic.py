@@ -1,9 +1,10 @@
-"""Elliptic curves over the rationals: periods, cuts, Weierstrass functions,
-elliptic logarithms, the exact group law, and bounded torsion testing.
+"""Elliptic curves over the rationals: periods, fundamental-domain reduction,
+Weierstrass functions, elliptic logarithms, the exact group law, and
+bounded torsion testing.
 
 Curve model is y^2 = 4x^3 - g2*x - g3 throughout (so the invariant
-differential is dx/y). Inputs in short form y^2 = x^3 + ax + b convert via
-(x, y) -> (x, 2y), i.e. g2 = -4a, g3 = -4b.
+differential is dx/y). A curve in short form y^2 = x^3 + ax + b is passed
+as g2 = -4a, g3 = -4b, the substitution (x, y) -> (x, 2y).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "EllipticCurve",
     "CurvePoint",
     "PeriodLatticeData",
-    "CutSystem",
     "compute_periods",
     "eisenstein_invariants",
     "weierstrass_p",
@@ -85,11 +85,6 @@ class EllipticCurve:
         object.__setattr__(self, "g3", _as_fraction(self.g3))
         if self.discriminant() == 0:
             raise DegenerateCurve(f"g2={self.g2}, g3={self.g3} has zero discriminant")
-
-    @classmethod
-    def from_short_form(cls, a, b, label: str = "") -> "EllipticCurve":
-        # y^2 = x^3 + ax + b, substituted via (x, y) -> (x, 2y)
-        return cls(g2=-4 * _as_fraction(a), g3=-4 * _as_fraction(b), label=label)
 
     def discriminant(self) -> Fraction:
         return self.g2**3 - 27 * self.g3**2
@@ -215,8 +210,8 @@ class PeriodLatticeData:
     """A computed period basis (omega_alpha, omega_beta) with tau = beta/alpha.
 
     Also carries the curve and the precision at which the periods were
-    computed, plus fundamental-domain coordinate helpers shared by the cut
-    system and the invariant evaluators.
+    computed, plus the fundamental-domain coordinate helpers the invariant
+    evaluators reduce with.
     """
 
     def __init__(self, curve: EllipticCurve, omega_alpha, omega_beta, digits: int):
@@ -250,20 +245,22 @@ class PeriodLatticeData:
             f = -half
         return f
 
-    def reduce_coords(self, z, offset=0, snap=None) -> Tuple[mp.mpf, mp.mpf]:
-        snap = snap if snap is not None else mp.power(10, -(self.digits * 4) // 5)
-        s, t = self.coords(mp.mpc(z) - mp.mpc(offset))
+    def reduce_coords(self, z) -> Tuple[mp.mpf, mp.mpf]:
+        snap = mp.power(10, -(self.digits * 4) // 5)
+        # z is rounded to the working precision before its coordinates are taken
+        s, t = self.coords(+mp.mpc(z))
         return self._snap_frac(s, snap), self._snap_frac(t, snap)
 
-    def reduce(self, z, offset=0, snap=None) -> mp.mpc:
-        """Representative of z in the fundamental parallelogram about offset.
+    def reduce(self, z) -> mp.mpc:
+        """Representative of z in the fundamental parallelogram about 0.
 
         Coordinates are taken in the half-open box [-1/2, 1/2)^2 with
         tolerance snapping at the boundary, so reduction is deterministic on
-        lattice-coordinate half-integers.
+        lattice-coordinate half-integers. The two cuts are the images of the
+        box edges; every chi2 and chi3 value is defined modulo the period
+        lattice, so this one cut system serves them all.
         """
-        s, t = self.reduce_coords(z, offset=offset, snap=snap)
-        return mp.mpc(offset) + self.from_coords(s, t)
+        return self.from_coords(*self.reduce_coords(z))
 
     def shortest_vector_norm(self) -> mp.mpf:
         """Shortest of the 24 vectors m*alpha + n*beta with |m|, |n| <= 2,
@@ -277,20 +274,6 @@ class PeriodLatticeData:
                     if m or n
                 )
         return self._shortest
-
-
-@dataclasses.dataclass(frozen=True)
-class CutSystem:
-    """Fundamental parallelogram centered at basepoint_offset with its two cuts."""
-
-    lattice: PeriodLatticeData
-    basepoint_offset: object = 0
-
-    def reduce(self, z, snap=None) -> mp.mpc:
-        return self.lattice.reduce(z, offset=self.basepoint_offset, snap=snap)
-
-    def reduce_coords(self, z, snap=None) -> Tuple[mp.mpf, mp.mpf]:
-        return self.lattice.reduce_coords(z, offset=self.basepoint_offset, snap=snap)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,15 @@ terms by the midpoint rule per piece, the chi3 bulk by the midpoint rule
 per strip of the line arrangement, whose inner line integral is affine
 across each strip.
 
-Reduction conventions are load bearing and frozen here: fundamental-domain
-representatives live in the half-open coordinate box [-1/2, 1/2)^2 with
-boundary snapping, a nonconstant map is always reduced, and the translation
-of a constant map is used exactly as handed in (a constant crosses no cut,
-so no reduction is forced; keeping the lift makes the reported vector match
-the natural closed form Omega * xi for whatever lift the caller names).
+Reduction conventions are load bearing and frozen here: each target has
+one cut system, the edges of its fundamental domain about 0, and every
+reduction calls ``PeriodLatticeData.reduce`` (values are defined modulo the
+period lattice whichever cuts are chosen). Representatives live in the
+half-open coordinate box [-1/2, 1/2)^2 with boundary snapping, a
+nonconstant map is always reduced, and the translation of a constant map is
+used exactly as handed in (a constant crosses no cut, so no reduction is
+forced; keeping the lift makes the reported vector match the natural closed
+form Omega * xi for whatever lift the caller names).
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from mpmath import mp
 
 from .elliptic import (
     CurvePoint,
-    CutSystem,
     EllipticCurve,
     PeriodLatticeData,
     compute_periods,
@@ -144,14 +146,11 @@ class SpreadMap:
     translation: object
     target_curve: EllipticCurve
     target_lattice: PeriodLatticeData
-    cuts: Optional[CutSystem] = None
     multiplier2: Tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "multiplier", _as_gaussian(self.multiplier))
         object.__setattr__(self, "multiplier2", _as_gaussian(self.multiplier2))
-        if self.cuts is None:
-            object.__setattr__(self, "cuts", CutSystem(self.target_lattice))
 
     @classmethod
     def identity(cls, curve: EllipticCurve, lattice: PeriodLatticeData) -> "SpreadMap":
@@ -401,7 +400,6 @@ def _loop_path_value(spread: BoxSpreadCycle, z0, period, ctx: PrecisionCtx) -> m
     lat1 = map1.target_lattice
     m1, c1 = map1.mult_mpc(), mp.mpc(map1.translation)
     m2, c2 = map2.mult_mpc(), mp.mpc(map2.translation)
-    off1 = mp.mpc(map1.cuts.basepoint_offset)
 
     def trace1(t):
         return m1 * (z0 + t * period) + c1
@@ -418,7 +416,7 @@ def _loop_path_value(spread: BoxSpreadCycle, z0, period, ctx: PrecisionCtx) -> m
             )
         crossings.extend((t_hat, orient, coeff, idx) for t_hat, orient in found)
     for t_hat, _, _, idx in crossings:
-        s, t = lat1.reduce_coords(trace1(t_hat), offset=off1)
+        s, t = lat1.reduce_coords(trace1(t_hat))
         other = t if idx == 0 else s
         if abs(abs(other) - mp.mpf("0.5")) < edge:
             raise CutGrazing("cut crossing lands at a fundamental-domain corner")
@@ -432,8 +430,8 @@ def _loop_path_value(spread: BoxSpreadCycle, z0, period, ctx: PrecisionCtx) -> m
         def trace2(t):
             return m2 * (z0 + t * period) + c2
 
-        g_at = lambda t: map2.cuts.reduce(trace2(t))
-        red1 = map1.cuts.reduce
+        g_at = lambda t: map2.target_lattice.reduce(trace2(t))
+        red1 = lat1.reduce
         breaks = sorted(t for t, _, _, _ in crossings)
         integral = _piecewise_line_sum(
             lambda t, _: red1(trace1(t)) * m2 * period, (0, 0), (1, 0), breaks
@@ -453,7 +451,7 @@ def _closed_values(spread: BoxSpreadCycle, eps: Fraction, delta: Fraction, ctx: 
     m2, c2 = map2.mult_mpc(), mp.mpc(map2.translation)
     if map2.is_constant:
         return A * c2, B * c2
-    red2 = map2.cuts.reduce
+    red2 = map2.target_lattice.reduce
     wa = red2(m2 * (A / 2 + d * B) + c2)
     wb = red2(m2 * (B / 2 + e * A) + c2)
     va = A * wa - m2 * A * d * B
@@ -481,14 +479,7 @@ def chi2_box(
     eps, delta = _offset_pair(path_offset)
     notes = [f"path offset ({eps}, {delta})"]
 
-    closed_ok = spread.maps[0].is_identity()
-    with mp.workdps(spread.source_lattice.digits + GUARD_DIGITS):
-        for sm in spread.maps:
-            if abs(mp.mpc(sm.cuts.basepoint_offset)) != 0 and canon != "PathIntegral":
-                raise MethodUnsupported(
-                    "ClosedForm is derived for cut systems centered at 0; use PathIntegral"
-                )
-    if canon in ("ClosedForm", "Both") and not closed_ok:
+    if canon in ("ClosedForm", "Both") and not spread.maps[0].is_identity():
         raise MethodUnsupported("ClosedForm needs the first map to be the identity")
 
     with ctx.work():
@@ -593,8 +584,7 @@ def _sigma_affine(sm: SpreadMap, z01, z02, period_u, period_w, index: int):
     """Coefficients (p, q, r0) of the gated coordinate over the square."""
     lat = sm.target_lattice
     a, b = sm.mult_mpc(), sm.mult2_mpc()
-    off = mp.mpc(sm.cuts.basepoint_offset)
-    const = a * z01 + b * z02 + mp.mpc(sm.translation) - off
+    const = a * z01 + b * z02 + mp.mpc(sm.translation)
     p = lat.coords(a * period_u)[index]
     q = lat.coords(b * period_w)[index]
     r0 = lat.coords(const)[index]
@@ -710,7 +700,7 @@ def _v_product_cycle(
     """
     map1, map2, map3 = spread.maps
     a1, b1, c1 = map1.mult_mpc(), map1.mult2_mpc(), mp.mpc(map1.translation)
-    red1 = map1.cuts.reduce
+    red1 = map1.target_lattice.reduce
 
     def f1(s, t):
         return red1(a1 * (z01 + s * period_u) + b1 * (z02 + t * period_w) + c1)

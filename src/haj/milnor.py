@@ -33,8 +33,8 @@ from mpmath import mp
 from .cycles import CurveRef, PointSymbol, ZeroCycle, box_cycle, zero_cycle
 from .invariants import CutGrazing, InvariantError, StratificationOverflow
 from .numkernel import (
+    CircleAround,
     NumKernelError,
-    ParamPath,
     PrecisionCtx,
     TangencySuspected,
     _derivative,
@@ -155,10 +155,6 @@ class RationalFunc:
     @staticmethod
     def const(value) -> "RationalFunc":
         return RationalFunc((_as_fraction(value),))
-
-    @staticmethod
-    def variable() -> "RationalFunc":
-        return RationalFunc((Fraction(0), Fraction(1)))
 
     @staticmethod
     def parse(text: str) -> "RationalFunc":
@@ -821,7 +817,7 @@ class RegulatorValue:
 _MAX_LOOP_DEGREE = 50
 
 
-def _enclosed(coeffs: Tuple[Fraction, ...], loop: ParamPath, ctx: PrecisionCtx) -> int:
+def _enclosed(coeffs: Tuple[Fraction, ...], loop: CircleAround, ctx: PrecisionCtx) -> int:
     """Roots of a polynomial inside the loop's circle, with multiplicity.
 
     The roots come from the exact square-free factors, so each root finder
@@ -829,7 +825,7 @@ def _enclosed(coeffs: Tuple[Fraction, ...], loop: ParamPath, ctx: PrecisionCtx) 
     circle raises CutGrazing: the loop passes through a zero or pole to
     working precision.
     """
-    center, radius = mp.mpc(loop.kind.center), mp.mpf(loop.kind.radius)
+    center, radius = mp.mpc(loop.center), mp.mpf(loop.radius)
     edge = mp.sqrt(ctx.tol) * radius
     count = 0
     for factor, mult in _poly(coeffs).sqf_list()[1]:
@@ -844,7 +840,7 @@ def _enclosed(coeffs: Tuple[Fraction, ...], loop: ParamPath, ctx: PrecisionCtx) 
     return count
 
 
-def _pair_regulator(f: RationalFunc, g: RationalFunc, loop: ParamPath, ctx: PrecisionCtx):
+def _pair_regulator(f: RationalFunc, g: RationalFunc, loop: CircleAround, ctx: PrecisionCtx):
     if f.is_zero or g.is_zero:
         raise ZeroEntry("regulator needs nonzero entries")
     for h in (f, g):
@@ -893,7 +889,7 @@ def _pair_regulator(f: RationalFunc, g: RationalFunc, loop: ParamPath, ctx: Prec
 
 def regulator_eval(
     pairs: Union[Sequence[RationalFunc], MilnorSymbolSum],
-    loop: ParamPath,
+    loop: CircleAround,
     ctx: PrecisionCtx = PrecisionCtx(),
     max_den: int = 10**3,
     max_height: int = 10**4,

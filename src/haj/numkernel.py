@@ -2,7 +2,7 @@
 
 Everything downstream funnels its numerics through this module: a precision
 context with a fixed tolerance ladder, complex serialization that round-trips,
-parametrized paths, a branch-stable AGM, certified path integration, roots of
+circle loops, a branch-stable AGM, certified loop integration, roots of
 polynomials, and the crossings of a rational function along a circle with the
 logarithm's branch cut (the negative real axis). No cut crossing is found by
 sampling: along a circle they are the roots of one polynomial built from the
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 
@@ -37,9 +37,6 @@ __all__ = [
     "complex_to_json",
     "complex_from_json",
     "CircleAround",
-    "LatticeSegment",
-    "Polyline",
-    "ParamPath",
     "Crossing",
     "agm",
     "integrate_path",
@@ -114,10 +111,6 @@ class PrecisionCtx:
     def agreement_tol(self) -> mp.mpf:
         return self._pow10(1, 2)
 
-    def half(self) -> "PrecisionCtx":
-        """A context at half the digits (floor, clamped to the minimum)."""
-        return PrecisionCtx(max(32, self.digits // 2), cancelled=self.cancelled)
-
     def doubled(self) -> "PrecisionCtx":
         """A context at twice the digits (for soundness amplification)."""
         return PrecisionCtx(self.digits * 2, cancelled=self.cancelled)
@@ -140,49 +133,20 @@ def complex_from_json(obj: dict, ctx: PrecisionCtx) -> mp.mpc:
 
 
 # ---------------------------------------------------------------------------
-# Paths
+# Loops
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
 class CircleAround:
-    """Circle of given radius about a center, t in [0,1] mapping to angle 2*pi*t."""
+    """Circle z(t) = center + radius * e^(2*pi*i*t), t in [0, 1].
+
+    ``orientation`` multiplies integrals: +1 runs counterclockwise as
+    parametrized, -1 reverses.
+    """
 
     center: object
     radius: object
-
-
-@dataclasses.dataclass(frozen=True)
-class LatticeSegment:
-    """Straight segment z(t) = start + t*direction, t in [0,1]."""
-
-    start: object
-    direction: object
-
-
-@dataclasses.dataclass(frozen=True)
-class Polyline:
-    """Piecewise-linear path through the given vertices, uniform in t."""
-
-    vertices: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 2:
-            raise ValueError("Polyline needs at least two vertices")
-
-
-PathKind = Union[CircleAround, LatticeSegment, Polyline]
-
-
-@dataclasses.dataclass(frozen=True)
-class ParamPath:
-    """A parametrized path with an orientation sign.
-
-    ``orientation`` multiplies integrals; +1 traverses as parametrized,
-    -1 reverses.
-    """
-
-    kind: PathKind
     orientation: int = 1
 
     def __post_init__(self) -> None:
@@ -190,47 +154,11 @@ class ParamPath:
             raise ValueError("orientation must be +1 or -1")
 
     def point(self, t) -> mp.mpc:
-        k = self.kind
-        if isinstance(k, CircleAround):
-            return mp.mpc(k.center) + mp.mpf(k.radius) * mp.expjpi(2 * mp.mpf(t))
-        if isinstance(k, LatticeSegment):
-            return mp.mpc(k.start) + mp.mpf(t) * mp.mpc(k.direction)
-        verts = k.vertices
-        m = len(verts) - 1
-        s = mp.mpf(t) * m
-        i = int(mp.floor(s))
-        if i < 0:
-            i = 0
-        if i >= m:
-            i = m - 1
-        frac = s - i
-        a = mp.mpc(verts[i])
-        b = mp.mpc(verts[i + 1])
-        return a + frac * (b - a)
+        return mp.mpc(self.center) + mp.mpf(self.radius) * mp.expjpi(2 * mp.mpf(t))
 
     def tangent(self, t) -> mp.mpc:
-        """dz/dt at parameter t (one-sided at polyline vertices)."""
-        k = self.kind
-        if isinstance(k, CircleAround):
-            return mp.mpf(k.radius) * 2j * mp.pi * mp.expjpi(2 * mp.mpf(t))
-        if isinstance(k, LatticeSegment):
-            return mp.mpc(k.direction)
-        verts = k.vertices
-        m = len(verts) - 1
-        i = int(mp.floor(mp.mpf(t) * m))
-        if i < 0:
-            i = 0
-        if i >= m:
-            i = m - 1
-        return (mp.mpc(verts[i + 1]) - mp.mpc(verts[i])) * m
-
-    def breakpoints(self) -> tuple:
-        """Interior parameter values where smoothness may fail."""
-        k = self.kind
-        if isinstance(k, Polyline):
-            m = len(k.vertices) - 1
-            return tuple(mp.mpf(i) / m for i in range(1, m))
-        return ()
+        """dz/dt at parameter t."""
+        return mp.mpf(self.radius) * 2j * mp.pi * mp.expjpi(2 * mp.mpf(t))
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +198,20 @@ def agm(a, b, ctx: PrecisionCtx) -> mp.mpc:
 
 
 # ---------------------------------------------------------------------------
-# Path integration
+# Loop integration
 # ---------------------------------------------------------------------------
 
 
 def integrate_path(
     integrand: Callable,
-    path: ParamPath,
+    loop: CircleAround,
     ctx: PrecisionCtx,
     splits: Sequence = (),
 ) -> mp.mpc:
-    """Integrate ``integrand(t)`` over t in [0,1] along the path's orientation.
+    """Integrate ``integrand(t)`` over t in [0,1] along the loop's orientation.
 
     The integrand must already include the dz/dt Jacobian (callers build it
-    from path.point / path.tangent). ``splits`` lists interior parameter
+    from loop.point / loop.tangent). ``splits`` lists interior parameter
     values where the integrand is non-smooth (declared cut crossings); the
     quadrature never integrates across them. Raises QuadratureStall when the
     error estimate cannot be pushed below the context tolerance.
@@ -291,8 +219,7 @@ def integrate_path(
     with ctx.work():
         tol = ctx.tol
         pts = [mp.mpf(0)]
-        interior = sorted(set(mp.mpf(s) for s in tuple(splits) + path.breakpoints()))
-        for s in interior:
+        for s in sorted(set(mp.mpf(s) for s in splits)):
             if 0 < s < 1 and s - pts[-1] > tol:
                 pts.append(s)
         pts.append(mp.mpf(1))
@@ -315,7 +242,7 @@ def integrate_path(
                         f"on [{mp.nstr(left, 8)}, {mp.nstr(right, 8)}]"
                     )
             total += val
-        return path.orientation * total
+        return loop.orientation * total
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +320,13 @@ def _reflected(p: list) -> list:
     return [mp.conj(x) for x in reversed(p)]
 
 
-def detect_crossings(num: Sequence, den: Sequence, loop: ParamPath, ctx: PrecisionCtx) -> list:
+def detect_crossings(num: Sequence, den: Sequence, loop: CircleAround, ctx: PrecisionCtx) -> list:
     """Crossings of f = num/den with the negative real axis along a circle.
 
     ``num`` and ``den`` are exact rational coefficient tuples, constant term
-    first, with nonzero leading coefficients; the loop is a ``CircleAround``
-    clear of every zero and pole of f, and t runs as in ``ParamPath.point``
-    (the orientation sign is ignored).
+    first, with nonzero leading coefficients; the loop must keep clear of
+    every zero and pole of f, and t runs as in ``CircleAround.point`` (the
+    orientation sign is ignored).
     On the circle z = c + r*w, |w| = 1, put A(w) = num(z) and B(w) = den(z).
     Im f vanishes there exactly at the roots on |w| = 1 of
 
@@ -421,7 +348,7 @@ def detect_crossings(num: Sequence, den: Sequence, loop: ParamPath, ctx: Precisi
     does not converge.
     """
     with ctx.work():
-        center, radius = mp.mpc(loop.kind.center), mp.mpf(loop.kind.radius)
+        center, radius = mp.mpc(loop.center), mp.mpf(loop.radius)
         a, b = _shifted(num, center, radius), _shifted(den, center, radius)
         lhs = [0] * (len(a) - 1) + _product(a, _reflected(b))
         rhs = [0] * (len(b) - 1) + _product(_reflected(a), b)

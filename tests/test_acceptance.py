@@ -36,7 +36,7 @@ from haj.milnor import (
     regulator_eval,
     weil_reciprocity_check,
 )
-from haj.numkernel import CircleAround, ParamPath, PrecisionCtx
+from haj.numkernel import CircleAround, PrecisionCtx
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -271,7 +271,7 @@ def test_criterion_10_shrink_loop_law():
     envelopes_ok = True
     for exp in (1, 2, 3):
         radius = mp.mpf(10) ** -exp
-        loop = ParamPath(CircleAround(x0, radius))
+        loop = CircleAround(x0, radius)
         rv = regulator_eval((f, g), loop, ctx)
         with ctx.work():
             defect, snap = indeterminacy_defect(rv.value + target, ctx)

@@ -1,5 +1,6 @@
 """Command line adapters: envelopes, presets, cache, stdio, exit codes."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -183,6 +184,37 @@ def test_module_error_hints(runner):
 # ---------------------------------------------------------------------------
 
 
+# sha256 of each preset's rendered document, so that no refactor moves a
+# verdict byte unnoticed; a change meant to move one updates its entry here
+FROZEN = {
+    ("paper-14", 64): "9175fa8e3b2648da5d9d655e8e79d9c106b2387a9be73afb383af366c0bc43cf",
+    ("paper-14", 128): "c61d3e23163c85631c49134a9086d3b772c59d7472f026abbad51efb546e2363",
+    ("paper-16-rem3", 64): "1135a0dda8e39351645df4aa6d5ea409b5e4456756e81026b99a87d413bb0e07",
+    ("paper-16-rem3", 128): "627f05022cedf09db089ce39c3c9ea8dd4f8725a2639c10dab573de3ef96e1a7",
+    ("paper-16-classify", 64): "17d91aaf390ec337ed6fd5002d92b981f56410da8261e14087bab251ec129898",
+    ("paper-16-classify", 128): "63ab43c276f85a75bac4340872ac750d56fdcf314296f00781db8d117f0d363f",
+    ("paper-17", 48): "9c31a6926a89d3d8730f1c64c76d6aba547a671d5657f44ba24fe74013504c12",
+    ("paper-17", 64): "751224001cc2f67b7b8fb9f0eb2a518001b59b6bcb5adbaea7444cf5f236f93d",
+    ("paper-17", 128): "3d908ed78d00744c954e8c72789a6edc4f9a5a51fc3b4cdbd511a76ba713c53c",
+    ("paper-9-loops", 48): "51e2fd1bbb894e8390b3727b3c89e3f38462aeb15edfe057c2f00a80d206d1f9",
+    ("paper-9-loops", 64): "aa12fac6752565559b57ef42005ba56f9f07bf0ce3b924ff8d3039bc9ecf3e1d",
+    ("paper-9-loops", 128): "ce68ff744d289bc76b2c29ccdac533fcced4cda63892eef3e7f287b4588b7a3e",
+}
+
+
+def run_frozen(runner, op, preset, digits):
+    """Run a preset and check its document against the frozen sha256."""
+    result = invoke(runner, [op, "--preset", preset, "--digits", str(digits)])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == FROZEN[(preset, digits)]
+    return result
+
+
+def assert_frozen_ladder(runner, op, preset):
+    for digits in (64, 128):
+        run_frozen(runner, op, preset, digits)
+
+
 def test_presets_load_and_name_their_op():
     ops = {
         "paper-14": "chi2",
@@ -199,24 +231,24 @@ def test_presets_load_and_name_their_op():
 
 def test_chi2_preset_nontorsion_family(runner):
     # the height budget needs 1.5 * 9 * log10(maxHeight) = 54 digits here
-    result = invoke(runner, ["chi2", "--preset", "paper-14", "--digits", "64"])
-    assert result.exit_code == 0
+    result = run_frozen(runner, "chi2", "paper-14", 64)
     res = doc_of(result)["result"]
     assert res["verdict"] == "NoRelationUpTo"
     assert res["membership"]["conclusive"] is False
     assert res["chi2"]["method"] == "Both"
     assert any(n.startswith("route agreement") for n in res["chi2"]["notes"])
+    run_frozen(runner, "chi2", "paper-14", 128)
 
 
 def test_chi2_preset_cm_marker(runner):
-    result = invoke(runner, ["chi2", "--preset", "paper-16-rem3", "--digits", "64"])
-    assert result.exit_code == 0
+    result = run_frozen(runner, "chi2", "paper-16-rem3", 64)
     res = doc_of(result)["result"]
     assert res["verdict"] == "Member"
     assert res["membership"]["amplified"] is True
     assert res["membership"]["coefficients"] == [
         "-1/1", "0/1", "0/1", "0/1", "0/1", "0/1", "1/1", "0/1",
     ]
+    run_frozen(runner, "chi2", "paper-16-rem3", 128)
 
 
 def test_chi2_no_reduce_flag(runner):
@@ -230,8 +262,7 @@ def test_chi2_no_reduce_flag(runner):
 
 
 def test_classify_preset_regimes(runner):
-    result = invoke(runner, ["classify", "--preset", "paper-16-classify", "--digits", "64"])
-    assert result.exit_code == 0
+    result = run_frozen(runner, "classify", "paper-16-classify", 64)
     res = doc_of(result)["result"]
     assert res["cases"] == [
         "RankFourCM_Unconditional",
@@ -241,11 +272,11 @@ def test_classify_preset_regimes(runner):
     ]
     assert res["pairs"][0]["classification"]["cm"][0]["relation"] == [1, 0, 1]
     assert res["pairs"][3]["classification"]["isogeny"]["relation"] is None
+    run_frozen(runner, "classify", "paper-16-classify", 128)
 
 
 def test_kummer_preset_exact(runner):
-    result = invoke(runner, ["kummer-check", "--preset", "paper-17", "--digits", "48"])
-    assert result.exit_code == 0
+    result = run_frozen(runner, "kummer-check", "paper-17", 48)
     res = doc_of(result)["result"]
     assert res["verdict"] == "Holds"
     assert res["exact"] is True
@@ -256,11 +287,11 @@ def test_kummer_preset_exact(runner):
         for term in res["pushpull"]["terms"]
     }
     assert coeffs[("base", "base")] == "2/1"
+    assert_frozen_ladder(runner, "kummer-check", "paper-17")
 
 
 def test_shrink_preset_envelope(runner):
-    result = invoke(runner, ["milnor-reg", "--preset", "paper-9-loops", "--digits", "48"])
-    assert result.exit_code == 0
+    result = run_frozen(runner, "milnor-reg", "paper-9-loops", 48)
     res = doc_of(result)["result"]
     assert res["verdict"] == "WithinEnvelope"
     assert [l["radius"] for l in res["loops"]] == ["1/10", "1/100", "1/1000"]
@@ -270,6 +301,7 @@ def test_shrink_preset_envelope(runner):
         assert len(loop["regulator"]["crossings"]) == 1
     with mp.workdps(60):
         assert mp.mpf(res["loops"][1]["shrink"]["defect"]) < mp.mpf("1e-3")
+    assert_frozen_ladder(runner, "milnor-reg", "paper-9-loops")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import pytest
 from haj.numkernel import PrecisionCtx
 from haj.elliptic import (
     CurvePoint,
-    CutSystem,
     DegenerateCurve,
     EllipticCurve,
     INFINITY,
@@ -53,14 +52,6 @@ def test_discriminant_guard():
         EllipticCurve(12, 8)  # 12^3 = 27*64
     with pytest.raises(DegenerateCurve):
         EllipticCurve(0, 0)
-
-
-def test_short_form_conversion():
-    E = EllipticCurve.from_short_form(-2, 1)
-    assert E.g2 == Fraction(8)
-    assert E.g3 == Fraction(-4)
-    # (1, 0) is 2-torsion on y^2 = x^3 - 2x + 1, mapped y stays 0
-    assert E.contains(CurvePoint.affine(1, 0))
 
 
 def test_contains_exact_and_numeric(lat_cm):
@@ -401,12 +392,3 @@ def test_reduce_roundtrip(lat_cm):
             shifted = z + rng.randint(-3, 3) * lat_cm.omega_alpha + rng.randint(-3, 3) * lat_cm.omega_beta
             red = lat_cm.reduce(shifted)
             assert abs(red - z) < CTX.tol * 10
-
-
-def test_cut_system_offset_reduction(lat_cm):
-    with CTX.work():
-        off = -(lat_cm.omega_alpha + lat_cm.omega_beta) / 8
-        cs = CutSystem(lat_cm, basepoint_offset=off)
-        z = off + mp.mpf("0.4") * lat_cm.omega_alpha
-        red = cs.reduce(z + 2 * lat_cm.omega_alpha - lat_cm.omega_beta)
-        assert abs(red - z) < CTX.tol * 10

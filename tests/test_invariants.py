@@ -16,7 +16,6 @@ import pytest
 from haj.cycles import CurveRef, MissingCoordinates, PointSymbol, ZeroCycle
 from haj.elliptic import (
     CurvePoint,
-    CutSystem,
     EllipticCurve,
     compute_periods,
     elliptic_log,
@@ -289,26 +288,6 @@ def test_chi2_cm_degeneration_of_the_lattice():
             assert r.is_member
 
 
-def test_chi2_shared_cut_offset_leaves_value_alone():
-    # moving both cut systems to the same nonzero basepoint relabels every
-    # reduction consistently; the path-integral value does not move
-    with CTX.work():
-        off = LAT.omega_alpha / 8 + LAT.omega_beta / 16
-        cuts = CutSystem(LAT, basepoint_offset=off)
-        m1 = SpreadMap(multiplier=(1, 0), translation=0, target_curve=E_CM,
-                       target_lattice=LAT, cuts=cuts)
-        m2 = SpreadMap(multiplier=(1, 0), translation=-XI, target_curve=E_CM,
-                       target_lattice=LAT, cuts=cuts)
-        sp_off = BoxSpreadCycle(E_CM, LAT, (m1, m2))
-        v1 = chi2_box(sp_off, ctx=CTX)
-        v0 = chi2_box(spread2(aff(1, -XI)), ctx=CTX)
-        assert abs(v1.value_alpha - v0.value_alpha) < mp.mpf("1e-40")
-        assert abs(v1.value_beta - v0.value_beta) < mp.mpf("1e-40")
-        # the closed form is only derived for cuts centered at 0
-        with pytest.raises(MethodUnsupported):
-            chi2_box(sp_off, method="Both", ctx=CTX)
-
-
 def test_chi2_method_gating():
     with CTX.work():
         sp = BoxSpreadCycle(E_CM, LAT, (aff(2, 0), aff(1, -XI)))
@@ -539,7 +518,7 @@ def _clip_param_to_polygon(x0, x1, poly):
 def _oracle_v(spread, pu, pw, z01, z02):
     map1, map2, map3 = spread.maps
     a1, b1, c1 = map1.mult_mpc(), map1.mult2_mpc(), mp.mpc(map1.translation)
-    red1 = map1.cuts.reduce
+    red1 = map1.target_lattice.reduce
 
     def h1(s, t):
         return a1 * (z01 + s * pu) + b1 * (z02 + t * pw) + c1

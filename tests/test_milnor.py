@@ -23,11 +23,11 @@ from haj.milnor import (
     tame_symbol,
     weil_reciprocity_check,
 )
-from haj.numkernel import CircleAround, ParamPath, PrecisionCtx
+from haj.numkernel import CircleAround, PrecisionCtx
 
 CTX = PrecisionCtx(48)
 
-T = RationalFunc.variable()
+T = RationalFunc((0, 1))
 ONE = RationalFunc.const(1)
 
 
@@ -325,7 +325,7 @@ def test_regulator_shrink_loop_law():
     defects = []
     for rexp in (1, 2, 3):
         r = mp.mpf(10) ** -rexp
-        loop = ParamPath(CircleAround(x0, r))
+        loop = CircleAround(x0, r)
         rv = regulator_eval((SHRINK_F, SHRINK_G), loop, CTX)
         assert len(rv.crossings) == 1
         with CTX.work():
@@ -341,7 +341,7 @@ def test_regulator_shrink_loop_law():
 
 
 def test_regulator_contractible_loop():
-    loop = ParamPath(CircleAround(5, mp.mpf(1) / 2))
+    loop = CircleAround(5, mp.mpf(1) / 2)
     rv = regulator_eval((SHRINK_F, SHRINK_G), loop, CTX)
     assert not rv.crossings
     assert abs(rv.value) < CTX.tol
@@ -354,7 +354,7 @@ def test_regulator_pole_loop_half_coefficient():
     # value is an exact half multiple of (2 pi i)^2
     with CTX.work():
         center = mp.mpc(-1, "0.01")
-    loop = ParamPath(CircleAround(center, mp.mpf("0.1")))
+    loop = CircleAround(center, mp.mpf("0.1"))
     rv = regulator_eval((SHRINK_F, SHRINK_G), loop, CTX)
     assert len(rv.crossings) == 2
     assert rv.indeterminacy.is_member
@@ -367,7 +367,7 @@ def test_regulator_steinberg_pair_is_lattice_point():
     f = RationalFunc.parse("(t^2-2)/4")
     with CTX.work():
         center = mp.mpc("0.5", "0.01")
-    loop = ParamPath(CircleAround(center, mp.mpf("0.4")))
+    loop = CircleAround(center, mp.mpf("0.4"))
     rv = regulator_eval((f, f.one_minus()), loop, CTX)
     assert len(rv.crossings) == 2
     assert rv.indeterminacy.is_member
@@ -378,8 +378,8 @@ def test_regulator_steinberg_pair_is_lattice_point():
 def test_regulator_orientation_reversal():
     with CTX.work():
         x0 = mp.sqrt(2)
-    fwd = ParamPath(CircleAround(x0, mp.mpf("0.01")))
-    rev = ParamPath(CircleAround(x0, mp.mpf("0.01")), orientation=-1)
+    fwd = CircleAround(x0, mp.mpf("0.01"))
+    rev = CircleAround(x0, mp.mpf("0.01"), -1)
     va = regulator_eval((SHRINK_F, SHRINK_G), fwd, CTX).value
     vb = regulator_eval((SHRINK_F, SHRINK_G), rev, CTX).value
     with CTX.work():
@@ -390,7 +390,7 @@ def test_regulator_additive_in_symbol_sums():
     g2 = RationalFunc.parse("t+3")
     with CTX.work():
         x0 = mp.sqrt(2)
-    loop = ParamPath(CircleAround(x0, mp.mpf("0.01")))
+    loop = CircleAround(x0, mp.mpf("0.01"))
     s = MilnorSymbolSum.from_terms(
         2, {(SHRINK_F, SHRINK_G): Fraction(2), (SHRINK_F, g2): Fraction(-1, 3)}
     )
@@ -404,7 +404,7 @@ def test_regulator_additive_in_symbol_sums():
 
 
 def test_regulator_constant_unit_second_entry():
-    loop = ParamPath(CircleAround(5, mp.mpf(1) / 2))
+    loop = CircleAround(5, mp.mpf(1) / 2)
     rv = regulator_eval((SHRINK_F, ONE), loop, CTX)
     assert rv.value == 0
 
@@ -414,16 +414,16 @@ def test_regulator_grazing_errors():
         x0 = mp.sqrt(2)
     with pytest.raises(CutGrazing):
         # passes through the zero of f
-        regulator_eval((SHRINK_F, SHRINK_G), ParamPath(CircleAround(0, x0)), CTX)
+        regulator_eval((SHRINK_F, SHRINK_G), CircleAround(0, x0), CTX)
     with pytest.raises(CutGrazing):
         # starts exactly on the branch cut: f(1) = -1
-        regulator_eval((SHRINK_F, SHRINK_G), ParamPath(CircleAround(0, 1)), CTX)
+        regulator_eval((SHRINK_F, SHRINK_G), CircleAround(0, 1), CTX)
 
 
 def test_regulator_crossing_audit_refuses_a_lost_crossing(monkeypatch):
     # one crossing fewer than the zero of f inside the loop asks for
     with CTX.work():
-        loop = ParamPath(CircleAround(mp.sqrt(2), mp.mpf("0.01")))
+        loop = CircleAround(mp.sqrt(2), mp.mpf("0.01"))
     found = milnor.detect_crossings
     monkeypatch.setattr(milnor, "detect_crossings", lambda *args: found(*args)[1:])
     with pytest.raises(InvariantError, match="audit"):
@@ -432,7 +432,7 @@ def test_regulator_crossing_audit_refuses_a_lost_crossing(monkeypatch):
 
 def test_regulator_degree_cap_refuses_before_root_finding():
     with CTX.work():
-        loop = ParamPath(CircleAround(mp.mpf(1) / 10, 1))
+        loop = CircleAround(mp.mpf(1) / 10, 1)
     for pair in ((T**200, T - RationalFunc.const(3)), (T, T**51 - RationalFunc.const(3))):
         start = time.perf_counter()
         with pytest.raises(StratificationOverflow):
@@ -441,7 +441,7 @@ def test_regulator_degree_cap_refuses_before_root_finding():
 
 
 def test_regulator_argument_validation():
-    loop = ParamPath(CircleAround(5, mp.mpf(1) / 2))
+    loop = CircleAround(5, mp.mpf(1) / 2)
     with pytest.raises(ZeroEntry):
         regulator_eval((RationalFunc.const(0), SHRINK_G), loop, CTX)
     with pytest.raises(ValueError):
@@ -449,7 +449,7 @@ def test_regulator_argument_validation():
 
 
 def test_regulator_json_shape():
-    loop = ParamPath(CircleAround(5, mp.mpf(1) / 2))
+    loop = CircleAround(5, mp.mpf(1) / 2)
     doc = regulator_eval((SHRINK_F, SHRINK_G), loop, CTX).to_json()
     assert doc["invariant"] == "regulator2"
     assert doc["digits"] == 48

@@ -1,4 +1,4 @@
-"""Kernel tests: precision contexts, AGM, paths, quadrature, crossings.
+"""Kernel tests: precision contexts, AGM, circle loops, quadrature, crossings.
 
 Oracle values are frozen from independent computations (hand-iterated AGM,
 closed-form contour integrals, angles read off by elementary trigonometry).
@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from haj.elliptic import CutSystem, EllipticCurve, PeriodLatticeData
+from haj.elliptic import EllipticCurve, PeriodLatticeData
 from haj.milnor import RationalFunc
 from haj.invariants import (
     CutGrazing,
@@ -21,10 +21,7 @@ from haj.invariants import (
 )
 from haj.numkernel import (
     CircleAround,
-    LatticeSegment,
     NonConvergence,
-    ParamPath,
-    Polyline,
     PrecisionCtx,
     QuadratureStall,
     TangencySuspected,
@@ -36,6 +33,7 @@ from haj.numkernel import (
 )
 
 CTX = PrecisionCtx(48)
+UNIT = CircleAround(0, 1)
 
 # agm(1, sqrt(2)), frozen from 60 hand iterations a <- (a+b)/2, b <- sqrt(ab)
 # at 70 digits; this is the lemniscatic value pi/varpi.
@@ -122,77 +120,65 @@ def test_agm_matches_mpmath_on_positive_reals():
 
 def test_path_point_and_tangent_consistency():
     # tangent should match a central difference of point()
-    paths = [
-        ParamPath(CircleAround(mp.mpc(1, 2), mp.mpf("0.75"))),
-        ParamPath(LatticeSegment(mp.mpc(-1, 0), mp.mpc(2, 3))),
-        ParamPath(Polyline((mp.mpc(0), mp.mpc(1, 1), mp.mpc(2, 0)))),
+    loops = [
+        CircleAround(mp.mpc(1, 2), mp.mpf("0.75")),
+        CircleAround(mp.mpc(-1, 0), mp.mpf(3), -1),
     ]
     with CTX.work():
         h = mp.mpf(10) ** -20
-        for path in paths:
+        for loop in loops:
             for t in (mp.mpf("0.15"), mp.mpf("0.4"), mp.mpf("0.8")):
-                fd = (path.point(t + h) - path.point(t - h)) / (2 * h)
-                assert abs(fd - path.tangent(t)) < mp.mpf(10) ** -15
+                fd = (loop.point(t + h) - loop.point(t - h)) / (2 * h)
+                assert abs(fd - loop.tangent(t)) < mp.mpf(10) ** -15
+                assert abs(abs(loop.point(t) - loop.center) - loop.radius) < mp.mpf(10) ** -40
 
 
 def test_path_orientation_validation():
     with pytest.raises(ValueError):
-        ParamPath(LatticeSegment(0, 1), orientation=2)
-    with pytest.raises(ValueError):
-        Polyline((mp.mpc(0),))
-
-
-def test_polyline_breakpoints():
-    p = ParamPath(Polyline((mp.mpc(0), mp.mpc(1), mp.mpc(1, 1), mp.mpc(0, 1))))
-    with CTX.work():
-        bps = p.breakpoints()
-        assert len(bps) == 2
-        assert mp.almosteq(bps[0], mp.mpf(1) / 3)
+        CircleAround(0, 1, orientation=2)
 
 
 def test_integrate_residue_2pii():
     # closed form: contour integral of 1/z over the unit circle is 2 pi i
-    p = ParamPath(CircleAround(0, 1))
     with CTX.work():
-        v = integrate_path(lambda t: p.tangent(t) / p.point(t), p, CTX)
+        v = integrate_path(lambda t: UNIT.tangent(t) / UNIT.point(t), UNIT, CTX)
         assert abs(v - 2j * mp.pi) < CTX.tol * 10
 
 
 def test_integrate_holomorphic_vanishes():
-    p = ParamPath(CircleAround(mp.mpc(0, 1), mp.mpf(2)))
+    p = CircleAround(mp.mpc(0, 1), mp.mpf(2))
     with CTX.work():
         v = integrate_path(lambda t: p.point(t) ** 2 * p.tangent(t), p, CTX)
         assert abs(v) < CTX.tol * 10
 
 
 def test_integrate_segment_closed_form():
-    # int_a^b z^2 dz = (b^3 - a^3)/3
+    # the integrand is any function of t in [0, 1]; pulled back along the
+    # segment z = a + t*(b - a) it gives int_a^b z^2 dz = (b^3 - a^3)/3
     a = mp.mpc(-1, 2)
     b = mp.mpc(3, 1)
-    p = ParamPath(LatticeSegment(a, b - a))
     with CTX.work():
-        v = integrate_path(lambda t: p.point(t) ** 2 * p.tangent(t), p, CTX)
+        v = integrate_path(lambda t: (a + t * (b - a)) ** 2 * (b - a), UNIT, CTX)
         want = (b**3 - a**3) / 3
         assert abs(v - want) < CTX.tol * 10
 
 
 def test_integrate_orientation_flips_sign():
-    a = mp.mpc(0)
-    b = mp.mpc(1, 1)
-    fwd = ParamPath(LatticeSegment(a, b - a))
-    rev = ParamPath(LatticeSegment(a, b - a), orientation=-1)
+    # holomorphic integrands vanish on a circle, so take conj(z) dz = 2 pi i r^2
+    fwd = CircleAround(mp.mpc(1, 1), mp.mpf("1.5"))
+    rev = CircleAround(mp.mpc(1, 1), mp.mpf("1.5"), -1)
     with CTX.work():
-        v1 = integrate_path(lambda t: mp.exp(fwd.point(t)) * fwd.tangent(t), fwd, CTX)
-        v2 = integrate_path(lambda t: mp.exp(rev.point(t)) * rev.tangent(t), rev, CTX)
+        v1 = integrate_path(lambda t: mp.conj(fwd.point(t)) * fwd.tangent(t), fwd, CTX)
+        v2 = integrate_path(lambda t: mp.conj(rev.point(t)) * rev.tangent(t), rev, CTX)
+        assert abs(v1 - 2j * mp.pi * mp.mpf("2.25")) < CTX.tol * 10
         assert abs(v1 + v2) < CTX.tol * 10
 
 
 def test_integrate_splits_preserve_smooth_value():
-    p = ParamPath(LatticeSegment(0, 1))
     with CTX.work():
-        base = integrate_path(lambda t: mp.cos(t), p, CTX)
+        base = integrate_path(lambda t: mp.cos(t), UNIT, CTX)
         split = integrate_path(
-            lambda t: mp.cos(t), p, CTX, splits=(mp.mpf("0.3"), mp.mpf("0.7"))
+            lambda t: mp.cos(t), UNIT, CTX, splits=(mp.mpf("0.3"), mp.mpf("0.7"))
         )
         assert abs(base - split) < CTX.tol * 10
         assert abs(base - mp.sin(1)) < CTX.tol * 10
@@ -200,9 +186,8 @@ def test_integrate_splits_preserve_smooth_value():
 
 def test_integrate_piecewise_with_declared_split():
     # |t - 1/2| integrand, smooth on each side of the declared split
-    p = ParamPath(LatticeSegment(0, 1))
     with CTX.work():
-        v = integrate_path(lambda t: abs(t - mp.mpf("0.5")), p, CTX, splits=(mp.mpf("0.5"),))
+        v = integrate_path(lambda t: abs(t - mp.mpf("0.5")), UNIT, CTX, splits=(mp.mpf("0.5"),))
         assert abs(v - mp.mpf(1) / 4) < CTX.tol * 10
 
 
@@ -210,24 +195,20 @@ def test_integrate_keeps_a_split_close_to_the_end():
     # a declared step at t = 1e-40 lies far above tol at 128 digits; merging
     # splits closer than 1e-30 dropped it and returned 1 instead of 1 - 1e-40
     ctx = PrecisionCtx(128)
-    p = ParamPath(LatticeSegment(0, 1))
     with ctx.work():
         step = mp.mpf("1e-40")
-        v = integrate_path(lambda t: mp.mpf(0) if t < step else mp.mpf(1), p, ctx, splits=(step,))
+        v = integrate_path(lambda t: mp.mpf(0) if t < step else mp.mpf(1), UNIT, ctx, splits=(step,))
         assert abs(v - (1 - step)) < ctx.tol * 10
 
 
 def test_quadrature_stall_on_undeclared_jump():
-    p = ParamPath(LatticeSegment(0, 1))
     c = mp.mpf(2) ** mp.mpf("-0.5")
     with pytest.raises(QuadratureStall):
-        integrate_path(lambda t: mp.mpf(0) if t < c else mp.mpf(1), p, CTX)
+        integrate_path(lambda t: mp.mpf(0) if t < c else mp.mpf(1), UNIT, CTX)
 
 
 # Log-cut crossings of rational functions along circles: f = num/den with
 # exact coefficients, constant term first.
-
-UNIT = ParamPath(CircleAround(0, 1))
 
 
 def test_axis_crossings_double_loop():
@@ -268,7 +249,7 @@ def test_axis_crossing_sum_matches_winding():
         for b, mult in poles:
             den = den * RationalFunc((-b, 1)) ** mult
         with CTX.work():
-            loop = ParamPath(CircleAround(mp.mpc(center), mp.mpf(radius.numerator) / radius.denominator))
+            loop = CircleAround(mp.mpc(center), mp.mpf(radius.numerator) / radius.denominator)
         crossings = detect_crossings(num.numerator, den.numerator, loop, CTX)
         expected = _enclosed(zeros, center, radius) - _enclosed(poles, center, radius)
         assert sum(c.orientation for c in crossings) == expected
@@ -277,7 +258,7 @@ def test_axis_crossing_sum_matches_winding():
 
 def test_axis_no_crossing_when_left_half_avoided():
     # z on the circle about 3 stays in the right half plane
-    assert detect_crossings((0, 1), (1,), ParamPath(CircleAround(3, 1)), CTX) == []
+    assert detect_crossings((0, 1), (1,), CircleAround(3, 1), CTX) == []
 
 
 # z - 2 - i on the unit circle is z - 2 on the unit circle about -i: the
@@ -287,24 +268,24 @@ BELOW = mp.mpc(0, -1)
 
 def test_axis_tangency_detected():
     with pytest.raises(TangencySuspected):
-        detect_crossings((-2, 1), (1,), ParamPath(CircleAround(BELOW, 1)), CTX)
+        detect_crossings((-2, 1), (1,), CircleAround(BELOW, 1), CTX)
 
 
 def test_axis_near_miss_is_clean():
     with CTX.work():
-        loop = ParamPath(CircleAround(BELOW * (1 + mp.mpf("1e-4")), 1))
+        loop = CircleAround(BELOW * (1 + mp.mpf("1e-4")), 1)
     assert detect_crossings((-2, 1), (1,), loop, CTX) == []
 
 
 def test_axis_touch_on_positive_side_is_clean():
     # z + 2 - i touches +2 instead: a double root of the crossing polynomial
-    assert detect_crossings((2, 1), (1,), ParamPath(CircleAround(BELOW, 1)), CTX) == []
+    assert detect_crossings((2, 1), (1,), CircleAround(BELOW, 1), CTX) == []
 
 
 def test_axis_crossing_at_the_base_point_refused():
     # z on the circle of radius 1/2 about -1 meets the cut at z = -1/2, t = 0
     with CTX.work():
-        loop = ParamPath(CircleAround(-1, mp.mpf(1) / 2))
+        loop = CircleAround(-1, mp.mpf(1) / 2)
     with pytest.raises(TangencySuspected):
         detect_crossings((0, 1), (1,), loop, CTX)
 
@@ -322,7 +303,7 @@ def test_axis_fast_winding_counted_exactly():
     # t^20 on the unit circle about 1/10 winds 20 times; a 257-sample scan
     # undercounts such traces (54 of 200 crossings for t^200)
     with CTX.work():
-        loop = ParamPath(CircleAround(mp.mpf(1) / 10, 1))
+        loop = CircleAround(mp.mpf(1) / 10, 1)
     crossings = detect_crossings((0,) * 20 + (1,), (1,), loop, CTX)
     assert len(crossings) == 20
     assert all(c.orientation == 1 for c in crossings)
@@ -357,10 +338,9 @@ def test_lattice_crossing_grid_exact_hit():
 
 
 def test_lattice_beta_cut_and_offset():
-    # the beta coordinate of t*i about the offset i/4 runs from -1/4 to 3/4
+    # the beta coordinate of t*i - i/4 runs from -1/4 to 3/4
     with CTX.work():
-        cuts = CutSystem(UNIT_LAT, basepoint_offset=mp.mpc(0, "0.25"))
-        sm = SpreadMap((1, 0), 0, E_SQ, UNIT_LAT, cuts=cuts)
+        sm = SpreadMap((1, 0), mp.mpc(0, "-0.25"), E_SQ, UNIT_LAT)
         p, _, r0 = _sigma_affine(sm, 0, 0, mp.mpc(0, 1), 0, 1)
         assert _cut_crossings(r0, p, CTX) == [(mp.mpf("0.75"), 1)]
 
