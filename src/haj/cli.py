@@ -23,14 +23,16 @@ pool without reordering the responses.
 Period lattices are the one expensive shared input, so they get a small
 content-addressed cache: one JSON file per (g2, g3, digits) key holding the
 serialized basis and a checksum, written atomically and revalidated against
-the Eisenstein series on every load. A cache hit reproduces the cold-run
-bytes exactly because both paths render from the same serialized strings.
+the Eisenstein series on every load. A cache hit prints the bytes of the
+run that wrote the entry, because both render from the same serialized
+strings. Without a cache directory, lattices come from the process-wide
+pool ``elliptic.period_lattice`` and render from the computed basis, so
+documents can differ from a cached run's below 10^-digits.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import pathlib
@@ -69,6 +71,7 @@ from .elliptic import (
     compute_periods,
     elliptic_log,
     is_torsion,
+    period_lattice,
 )
 from .relations import (
     PrecisionExhausted,
@@ -357,6 +360,8 @@ class PeriodCacheEntry:
 
     @staticmethod
     def _digest(key: dict, payload: dict) -> str:
+        import hashlib
+
         body = _canonical_json({"key": key, "payload": payload})
         return hashlib.sha256(body.encode("ascii")).hexdigest()
 
@@ -406,6 +411,8 @@ class PeriodCacheEntry:
 
 
 def _cache_path(cache_dir: pathlib.Path, key: dict) -> pathlib.Path:
+    import hashlib
+
     tag = hashlib.sha256(_canonical_json(key).encode("ascii")).hexdigest()[:24]
     return cache_dir / f"periods-{tag}.json"
 
@@ -430,10 +437,12 @@ def _atomic_write_json(path: pathlib.Path, doc: dict) -> None:
 class Session:
     """Per-run lattice pool: memoizes period bases and tracks cache events.
 
-    Lattices are memoized per (g2, g3, digits) so a command touching the
-    same curve twice computes it once. With a cache directory configured,
-    rendering always goes through the serialized entry so a hit and a cold
-    run print the same bytes.
+    The memo exists for the cache path's events: with a cache directory, a
+    request records one cache event per (g2, g3, digits) it touches, and
+    rendering always goes through the serialized entry, so a hit prints the
+    bytes of the run that wrote the entry. The process-wide pool lives in
+    ``elliptic.period_lattice``; without a cache directory the lattice
+    comes from there.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -451,7 +460,7 @@ class Session:
 
     def _load_or_compute(self, curve: EllipticCurve, ctx: PrecisionCtx) -> PeriodLatticeData:
         if self.cfg.cache_dir is None:
-            return compute_periods(curve, ctx)
+            return period_lattice(curve, ctx)
         key = {"g2": str(curve.g2), "g3": str(curve.g3), "digits": ctx.digits}
         path = _cache_path(self.cfg.cache_dir, key)
         if path.exists():
@@ -1198,6 +1207,11 @@ def _stdio_batch(lines: Sequence[str], jobs: int) -> int:
     workers = _pool_size(jobs, len(lines))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+
+        # The period cache's checksums import hashlib, which maps OpenSSL.
+        # Loaded here, before the fork, the workers share the parent's
+        # mapping instead of each loading a private copy.
+        import hashlib  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_stdio_one, lines))

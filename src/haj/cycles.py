@@ -26,8 +26,8 @@ from .elliptic import (
     CurvePoint,
     EllipticCurve,
     PeriodLatticeData,
-    compute_periods,
     elliptic_log,
+    period_lattice,
     point_neg,
 )
 from .numkernel import BigComplex, NumKernelError, PrecisionCtx
@@ -357,7 +357,7 @@ def aj_on_elliptic(
     if Z.degree != 0:
         raise ValueError("aj_on_elliptic needs a degree-0 cycle")
     if lattice is None:
-        lattice = compute_periods(ref.curve, ctx)
+        lattice = period_lattice(ref.curve, ctx)
     with ctx.work():
         total = mp.mpc(0)
         for (sym,), c in Z.terms:
@@ -428,11 +428,11 @@ def filtration_check(
             raise MissingCoordinates(
                 "level 2 needs elliptic factors with computable AJ"
             )
-        lattice = compute_periods(ref.curve, ctx)
+        lattice = period_lattice(ref.curve, ctx)
         value, _ = aj_on_elliptic(proj, ctx, lattice)
 
         def recompute(ctx2, _proj=proj, _ref=ref):
-            lat2 = compute_periods(_ref.curve, ctx2)
+            lat2 = period_lattice(_ref.curve, ctx2)
             v2, _ = aj_on_elliptic(_proj, ctx2, lat2)
             return [v2], [[lat2.omega_alpha], [lat2.omega_beta]]
 

@@ -5,6 +5,12 @@ bounded torsion testing.
 Curve model is y^2 = 4x^3 - g2*x - g3 throughout (so the invariant
 differential is dx/y). A curve in short form y^2 = x^3 + ax + b is passed
 as g2 = -4a, g3 = -4b, the substitution (x, y) -> (x, 2y).
+
+A period lattice depends only on the curve and the digits, so
+``period_lattice`` keeps one per (curve, digits) for the life of the
+process, and the cubic's roots are memoized the same way. The pool is per
+process: forked ``--jobs`` workers start with an empty one, because the
+batch parent computes no lattice before it forks, and each fills its own.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
     "CurvePoint",
     "PeriodLatticeData",
     "compute_periods",
+    "period_lattice",
     "eisenstein_invariants",
     "weierstrass_p",
     "elliptic_log",
@@ -281,13 +288,14 @@ class PeriodLatticeData:
 # ---------------------------------------------------------------------------
 
 
-def _cubic_roots(curve: EllipticCurve, ctx: PrecisionCtx) -> list:
+@functools.lru_cache(maxsize=256)
+def _cubic_roots(curve: EllipticCurve, ctx: PrecisionCtx) -> tuple:
     with ctx.work():
-        return mp.polyroots(
+        return tuple(mp.polyroots(
             [mp.mpf(4), mp.mpf(0), -_to_mpf(curve.g2), -_to_mpf(curve.g3)],
             maxsteps=200,
             extraprec=60,
-        )
+        ))
 
 
 def eisenstein_invariants(omega_alpha, omega_beta, ctx: PrecisionCtx) -> Tuple[mp.mpc, mp.mpc]:
@@ -374,6 +382,18 @@ def compute_periods(curve: EllipticCurve, ctx: PrecisionCtx) -> PeriodLatticeDat
                 wa_r, wb_r = _gauss_reduce(wa, cand_b, ctx)
                 return PeriodLatticeData(curve, wa_r, wb_r, ctx.digits)
         raise PeriodValidationFailed(f"no root labeling validated for {curve}")
+
+
+@functools.lru_cache(maxsize=256)
+def period_lattice(curve: EllipticCurve, ctx: PrecisionCtx) -> PeriodLatticeData:
+    """The process-wide period lattice of ``curve`` at ``ctx.digits``.
+
+    ``compute_periods`` runs once per (curve, digits); later calls return
+    the same object, which every caller shares and none may modify.
+    PrecisionCtx compares by digits alone, and a failed computation raises
+    and is not cached.
+    """
+    return compute_periods(curve, ctx)
 
 
 def _gauss_reduce(w1, w2, ctx: PrecisionCtx) -> Tuple[mp.mpc, mp.mpc]:
@@ -621,7 +641,7 @@ def is_torsion(
     if ctx is not None:
         from .relations import lattice_membership
 
-        lat = compute_periods(curve, ctx)
+        lat = period_lattice(curve, ctx)
         xi = elliptic_log(p, curve, lat, ctx)
         evidence = lattice_membership(
             [xi], [[lat.omega_alpha], [lat.omega_beta]], ctx=ctx

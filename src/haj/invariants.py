@@ -49,9 +49,9 @@ from .elliptic import (
     CurvePoint,
     EllipticCurve,
     PeriodLatticeData,
-    compute_periods,
     elliptic_log,
     is_torsion,
+    period_lattice,
     point_add,
     point_mul,
     point_neg,
@@ -1003,8 +1003,8 @@ def classify_case(
     statement is conditional. Probes that exhaust precision are flagged and
     treated as not detected.
     """
-    lat1 = compute_periods(curve1, ctx)
-    lat2 = compute_periods(curve2, ctx)
+    lat1 = period_lattice(curve1, ctx)
+    lat2 = period_lattice(curve2, ctx)
     cm1 = _cm_probe(lat1.tau, max_height, ctx)
     cm2 = _cm_probe(lat2.tau, max_height, ctx)
 

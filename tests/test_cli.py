@@ -574,9 +574,11 @@ def test_stdio_pool_size_is_bounded(monkeypatch):
 
 
 def test_import_leaves_heavy_modules_unloaded():
-    # process pools, package metadata and sympy load only where they are used
+    # process pools, package metadata, sympy and hashlib (with OpenSSL) load
+    # only where they are used
     probe = ("import sys, haj.cli; print(sorted(m for m in ('concurrent.futures', "
-             "'multiprocessing', 'importlib.metadata', 'sympy') if m in sys.modules))")
+             "'multiprocessing', 'importlib.metadata', 'sympy', 'hashlib', '_hashlib') "
+             "if m in sys.modules))")
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,

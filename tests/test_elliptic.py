@@ -7,6 +7,7 @@ Independent oracles used here:
 Frozen literals were produced by those oracles in separate runs.
 """
 
+import copy
 import functools
 import math
 import random
@@ -15,6 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from haj import cli, elliptic
 from haj.numkernel import PrecisionCtx
 from haj.elliptic import (
     CurvePoint,
@@ -22,14 +24,17 @@ from haj.elliptic import (
     EllipticCurve,
     INFINITY,
     InversionMismatch,
+    PeriodValidationFailed,
     PoleAtInput,
     compute_periods,
     eisenstein_invariants,
     elliptic_log,
     is_torsion,
+    period_lattice,
     point_add,
     point_mul,
     point_neg,
+    _cubic_roots,
     _laurent_coeffs_mpf,
     weierstrass_p,
 )
@@ -392,3 +397,99 @@ def test_reduce_roundtrip(lat_cm):
             shifted = z + rng.randint(-3, 3) * lat_cm.omega_alpha + rng.randint(-3, 3) * lat_cm.omega_beta
             red = lat_cm.reduce(shifted)
             assert abs(red - z) < CTX.tol * 10
+
+
+# ---------------------------------------------------------------------------
+# Process-wide period pool
+# ---------------------------------------------------------------------------
+
+CHI2_MEMBER = {
+    "source": {"g2": "20", "g3": "0", "label": "E"},
+    "maps": [
+        {"multiplier": 1, "translation": "0"},
+        {"multiplier": 0, "target": {"g2": "0", "g3": "16", "label": "F"},
+         "translation": {"periods": ["1", "-1"]}},
+    ],
+    "method": "Both",
+}
+CLASSIFY = {
+    "first": {"g2": "20", "g3": "0", "label": "A"},
+    "second": {"g2": "0", "g3": "16", "label": "B"},
+    "max_height": 1000,
+}
+TORSION = {"curve": {"g2": "20", "g3": "0"}, "point": {"x": "-1", "y": "4"}}
+
+
+@pytest.fixture
+def period_calls(monkeypatch):
+    """An empty pool and a log of every compute_periods call made through it."""
+    calls = []
+
+    def counting(curve, ctx):
+        calls.append((curve, ctx.digits))
+        return compute_periods(curve, ctx)
+
+    period_lattice.cache_clear()
+    _cubic_roots.cache_clear()
+    monkeypatch.setattr(elliptic, "compute_periods", counting)
+    yield calls
+    period_lattice.cache_clear()
+
+
+def _document(op, args, digits=64):
+    doc, code, _ = cli.run_op(op, cli.RunConfig(digits=digits), copy.deepcopy(args))
+    assert code == 0, doc
+    return cli._canonical_json(doc)
+
+
+def test_period_pool_computes_each_curve_and_digits_once(period_calls):
+    lat = period_lattice(E_CM, CTX)
+    # the ctx compares by digits alone, so a cancel hook does not split the key
+    assert period_lattice(E_CM, PrecisionCtx(48, cancelled=lambda: False)) is lat
+    assert period_calls == [(E_CM, 48)]
+    assert lat.curve == E_CM and lat.digits == 48
+    assert period_lattice(E_CM, PrecisionCtx(64)) is not lat
+    assert period_calls == [(E_CM, 48), (E_CM, 64)]
+    roots = _cubic_roots(E_CM, CTX)
+    assert isinstance(roots, tuple) and len(roots) == 3
+    assert _cubic_roots(E_CM, PrecisionCtx(48)) is roots
+
+
+def test_period_pool_does_not_cache_failures(monkeypatch):
+    calls = []
+
+    def fails_once(curve, ctx):
+        calls.append(curve)
+        if len(calls) == 1:
+            raise PeriodValidationFailed(f"injected failure for {curve}")
+        return compute_periods(curve, ctx)
+
+    period_lattice.cache_clear()
+    monkeypatch.setattr(elliptic, "compute_periods", fails_once)
+    try:
+        with pytest.raises(PeriodValidationFailed, match="cm-square"):
+            period_lattice(E_CM, CTX)
+        lat = period_lattice(E_CM, CTX)
+        assert period_lattice(E_CM, CTX) is lat
+        assert len(calls) == 2
+    finally:
+        period_lattice.cache_clear()
+
+
+@pytest.mark.parametrize("op, args", [("classify", CLASSIFY), ("torsion", TORSION)])
+def test_repeated_request_computes_no_periods(period_calls, op, args):
+    first = _document(op, args)
+    computed = len(period_calls)
+    assert computed > 0
+    assert _document(op, args) == first
+    assert len(period_calls) == computed
+
+
+@pytest.mark.parametrize("op, args", [
+    ("chi2", CHI2_MEMBER), ("classify", CLASSIFY), ("torsion", TORSION),
+])
+def test_documents_match_with_cold_or_warm_pool(period_calls, op, args):
+    cold = _document(op, args)
+    warm = _document(op, args)
+    period_lattice.cache_clear()
+    assert _document(op, args) == cold == warm
