@@ -17,9 +17,17 @@ to -2*pi*i*log g(x0), shrinking onto the residue as the radius drops.
 Every loop is a circle and f, g have rational coefficients, so the loop
 geometry is polynomial root finding with no sampling: the crossings are
 the roots on the unit circle of one polynomial (numkernel.detect_crossings),
-and the roots of the exact square-free factors of f and g keep the loop
+and the roots of the exact irreducible factors of f and g keep the loop
 clear of every zero and pole and audit the crossings by the argument
 principle (net signed crossings = zeros minus poles of f inside).
+
+The regulator value comes from the residue theorem at full working
+precision: the loop integral plus its crossing correction equals
+-2*pi*i * sum_p log T_p{f, g} + (2*pi*i)^2 * k, summed over the zeros and
+poles p inside the loop, with T_p the exact tame symbol (evaluated at each
+enclosed conjugate root) and k an integer. The loop quadrature runs only as
+a check at the 32-digit context floor, whatever precision is asked for: it
+fixes k by rounding and refuses the value when the two routes disagree.
 """
 
 from __future__ import annotations
@@ -781,9 +789,13 @@ class RegulatorValue:
 
     ``value`` = ``integral`` + ``delta``, where the integral carries
     principal log f against dlog g along the loop and delta corrects each
-    branch jump with -2*pi*i times log g at the crossing. The value is
-    well defined modulo (2*pi*i)^2 Q; ``indeterminacy`` records the
-    lattice-membership evidence for the reduction against that line.
+    branch jump with -2*pi*i times log g at the crossing. The value is the
+    residue sum at full precision, shifted by the (2*pi*i)^2 multiple that
+    a 32-digit quadrature of the integral fixes; ``delta`` is the sum over
+    the crossings at full precision, and ``integral`` is value - delta.
+    The value is well defined modulo (2*pi*i)^2 Q; ``indeterminacy``
+    records the lattice-membership evidence for the reduction against
+    that line.
     """
 
     value: mp.mpc
@@ -816,28 +828,43 @@ class RegulatorValue:
 # about 16 s)
 _MAX_LOOP_DEGREE = 50
 
+# the quadrature check runs at the context floor whatever digits are asked
+# for: it only has to fix k, whose margin is |2*pi*i|^2 / 2 ~ 19.7, and gate
+# the residue sum at this context's agreement_tol (10^-16)
+_CHECK_CTX = PrecisionCtx(32)
 
-def _enclosed(coeffs: Tuple[Fraction, ...], loop: CircleAround, ctx: PrecisionCtx) -> int:
-    """Roots of a polynomial inside the loop's circle, with multiplicity.
 
-    The roots come from the exact square-free factors, so each root finder
-    call sees simple roots only. A root within sqrt(tol) * radius of the
+def _enclosed(
+    coeffs: Tuple[Fraction, ...], loop: CircleAround, ctx: PrecisionCtx
+) -> Tuple[int, Dict[Tuple[Fraction, ...], list]]:
+    """Roots of a polynomial inside the loop's circle, grouped by place.
+
+    Returns the number of roots inside with multiplicity, and for each
+    monic irreducible factor with a root inside, its minimal polynomial
+    mapped to those roots. Each root finder call sees one irreducible
+    factor, so simple roots only. A root within sqrt(tol) * radius of the
     circle raises CutGrazing: the loop passes through a zero or pole to
     working precision.
     """
     center, radius = mp.mpc(loop.center), mp.mpf(loop.radius)
     edge = mp.sqrt(ctx.tol) * radius
-    count = 0
-    for factor, mult in _poly(coeffs).sqf_list()[1]:
-        for root in poly_roots(_coeffs(factor), ctx):
+    count, places = 0, {}
+    for factor, mult in _monic_factors(coeffs)[1]:
+        minpoly = _coeffs(factor)
+        inside = []
+        for root in poly_roots(minpoly, ctx):
             gap = abs(root - center) - radius
             if abs(gap) <= edge:
                 raise CutGrazing(
                     "loop passes within working tolerance of a zero or pole; "
                     "move the loop or drop its radius more carefully"
                 )
-            count += mult if gap < 0 else 0
-    return count
+            if gap < 0:
+                inside.append(root)
+        count += mult * len(inside)
+        if inside:
+            places[minpoly] = inside
+    return count, places
 
 
 def _pair_regulator(f: RationalFunc, g: RationalFunc, loop: CircleAround, ctx: PrecisionCtx):
@@ -851,28 +878,33 @@ def _pair_regulator(f: RationalFunc, g: RationalFunc, loop: CircleAround, ctx: P
             )
     try:
         # every zero and pole needs clearance; those of f also audit the crossings
-        zeros, poles, _, _ = (
+        parts = [
             _enclosed(p, loop, ctx)
             for p in (f.numerator, f.denominator, g.numerator, g.denominator)
-        )
+        ]
         crossings = detect_crossings(f.numerator, f.denominator, loop, ctx)
     except TangencySuspected as exc:
         raise CutGrazing(f"loop grazes the branch cut of log f: {exc}") from exc
     # argument principle: the signed crossings count the winding of f about 0
+    (zeros, _), (poles, _) = parts[:2]
     if sum(c.orientation for c in crossings) != zeros - poles:
         raise InvariantError(
             "crossing audit failed: net signed count does not match the zeros "
             "minus poles of f inside the loop"
         )
-
-    def integrand(t):
-        z = loop.point(t)
-        return mp.log(f.eval_mpc(z)) * g.dlog_mpc(z) * loop.tangent(t)
-
-    integral = integrate_path(
-        integrand, loop, ctx, splits=[c.param for c in crossings]
-    )
+    places = {}
+    for _, inside in parts:
+        places.update(inside)
     two_pi_i = 2j * mp.pi
+    residue = mp.mpc(0)
+    for minpoly, roots in places.items():
+        unit = tame_symbol((f, g), Place(minpoly))
+        # a place of degree above 1 gives a class in Q[t]/(minpoly): evaluate
+        # it at each conjugate root inside the loop
+        coeffs = unit if isinstance(unit, tuple) else (unit,)
+        for root in roots:
+            residue += -two_pi_i * mp.log(_horner(coeffs, root))
+    residue *= loop.orientation
     delta = mp.mpc(0)
     for c in crossings:
         gval = g.eval_mpc(loop.point(c.param))
@@ -884,7 +916,27 @@ def _pair_regulator(f: RationalFunc, g: RationalFunc, loop: CircleAround, ctx: P
             log_g = mp.mpc(log_g.real, c.orientation * mp.pi)
         delta += -two_pi_i * c.orientation * log_g
     delta *= loop.orientation
-    return integral, delta, crossings
+
+    def integrand(t):
+        z = loop.point(t)
+        return mp.log(f.eval_mpc(z)) * g.dlog_mpc(z) * loop.tangent(t)
+
+    # the check adds the full-precision delta, so a branch that only its
+    # rounding would pick differently cannot shift k against the delta reported
+    with _CHECK_CTX.work():
+        quad = delta + integrate_path(
+            integrand, loop, _CHECK_CTX, splits=[c.param for c in crossings]
+        )
+        base = (2j * mp.pi) ** 2
+        k = int(mp.nint(mp.re((quad - residue) / base)))
+        gap = abs(quad - residue - k * base)
+        if gap > _CHECK_CTX.agreement_tol * (1 + abs(quad)):
+            raise InvariantError(
+                f"route agreement failed: the loop quadrature and the residue sum "
+                f"differ by {mp.nstr(gap, 8)} modulo (2*pi*i)^2"
+            )
+    # (2*pi*i)^2 is formed at full precision: k is an exact integer
+    return residue + k * two_pi_i**2, delta, crossings
 
 
 def regulator_eval(
@@ -911,13 +963,13 @@ def regulator_eval(
         f, g = pairs
         term_list = [((f, g), Fraction(1))]
     with ctx.work():
-        integral = mp.mpc(0)
+        value = mp.mpc(0)
         delta = mp.mpc(0)
         crossing_docs: list = []
         for index, ((f, g), coeff) in enumerate(term_list):
-            part_int, part_delta, crossings = _pair_regulator(f, g, loop, ctx)
+            part_value, part_delta, crossings = _pair_regulator(f, g, loop, ctx)
             weight = mp.mpf(coeff.numerator) / coeff.denominator
-            integral += weight * part_int
+            value += weight * part_value
             delta += weight * part_delta
             for c in crossings:
                 crossing_docs.append(
@@ -928,7 +980,7 @@ def regulator_eval(
                         "orientation": c.orientation,
                     }
                 )
-        value = integral + delta
+        integral = value - delta
         evidence = lattice_membership(
             [value],
             [[(2j * mp.pi) ** 2]],

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 from mpmath import mp
 
+from haj import cli
 from haj.cli import (
     PRESET_NAMES,
     PeriodCacheEntry,
@@ -173,6 +174,18 @@ def test_module_error_hints(runner):
     assert err["type"] == "StratificationOverflow"
     assert "lower-degree" in err["hint"]
 
+    # the loop passes 0.05 from the zero of g at -1/2, where the quadrature
+    # check stalls whatever --digits is: the hint moves the loop instead
+    result = invoke(
+        runner,
+        ["milnor-reg", "--f", "(t+4)/(t+2)", "--g", "(t+1/2)*(t-1)",
+         "--center", "-2,0.4", "--radius", "3/2", "--digits", "64"],
+    )
+    assert result.exit_code == 1
+    err = doc_of(result)["error"]
+    assert err["type"] == "QuadratureStall"
+    assert "move the loop" in err["hint"]
+
     # point off the curve is a schema problem with the field path
     result = invoke(runner, ["ellog", "--g2", "20", "--g3", "0", "--x", "1", "--y", "1"])
     assert result.exit_code == 2
@@ -196,9 +209,9 @@ FROZEN = {
     ("paper-17", 48): "9c31a6926a89d3d8730f1c64c76d6aba547a671d5657f44ba24fe74013504c12",
     ("paper-17", 64): "751224001cc2f67b7b8fb9f0eb2a518001b59b6bcb5adbaea7444cf5f236f93d",
     ("paper-17", 128): "3d908ed78d00744c954e8c72789a6edc4f9a5a51fc3b4cdbd511a76ba713c53c",
-    ("paper-9-loops", 48): "51e2fd1bbb894e8390b3727b3c89e3f38462aeb15edfe057c2f00a80d206d1f9",
-    ("paper-9-loops", 64): "aa12fac6752565559b57ef42005ba56f9f07bf0ce3b924ff8d3039bc9ecf3e1d",
-    ("paper-9-loops", 128): "ce68ff744d289bc76b2c29ccdac533fcced4cda63892eef3e7f287b4588b7a3e",
+    ("paper-9-loops", 48): "3d40c4eaf525f1c8bfe0297dc055bdb634efacf10463f569063ec63f8d9cc14f",
+    ("paper-9-loops", 64): "a37b262f5b476baef063c30b2481543fe520f6204c160d782c25460ed6be0b7e",
+    ("paper-9-loops", 128): "27d68d01eb8f94265d4e320f57ce7766b3ab51e3f511d3adbf80f33a1e148f08",
 }
 
 
@@ -498,6 +511,46 @@ def test_cache_entry_roundtrip_and_checksum(runner, tmp_path):
     rescued = invoke(runner, args)
     assert rescued.output == cold.output
     assert PeriodCacheEntry.from_json(json.loads(path.read_text())).verify()
+
+
+def test_cache_hit_revalidates_each_file_once(runner, tmp_path, monkeypatch):
+    calls = []
+    validate = cli._validate_basis
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(cli, "_validate_basis", counting)
+    cache = tmp_path / "cache"
+    manifest = tmp_path / "run.json"
+    args = ["periods", "--g2", "8", "--g3", "1", "--digits", "48",
+            "--cache-dir", str(cache), "--manifest", str(manifest)]
+
+    def events():
+        return json.loads(manifest.read_text())["cache_events"]
+
+    cold = invoke(runner, args)
+    path = next(cache.glob("periods-*.json"))
+    assert calls == []
+    for _ in range(3):
+        hit = invoke(runner, args)
+        assert hit.output == cold.output
+        assert events() == [f"cache-hit {path.name}"]
+    assert len(calls) == 1
+
+    # a changed basis under a recomputed checksum is a new (file, checksum):
+    # it is revalidated, rejected and rebuilt
+    entry = PeriodCacheEntry.from_json(json.loads(path.read_text()))
+    payload = json.loads(json.dumps(entry.payload))
+    re = payload["omega_alpha"]["re"]
+    payload["omega_alpha"]["re"] = re[:4] + ("1" if re[4] != "1" else "2") + re[5:]
+    forged = PeriodCacheEntry(entry.key, payload, PeriodCacheEntry._digest(entry.key, payload))
+    path.write_text(json.dumps(forged.to_json()))
+    rescued = invoke(runner, args)
+    assert rescued.output == cold.output
+    assert events() == [f"cache-rejected {path.name}", f"cache-write {path.name}"]
+    assert len(calls) == 2
 
 
 def test_manifest_carries_metadata_not_verdict(runner, tmp_path):

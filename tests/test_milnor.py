@@ -23,7 +23,7 @@ from haj.milnor import (
     tame_symbol,
     weil_reciprocity_check,
 )
-from haj.numkernel import CircleAround, PrecisionCtx
+from haj.numkernel import CircleAround, PrecisionCtx, detect_crossings, integrate_path
 
 CTX = PrecisionCtx(48)
 
@@ -446,6 +446,153 @@ def test_regulator_argument_validation():
         regulator_eval((RationalFunc.const(0), SHRINK_G), loop, CTX)
     with pytest.raises(ValueError):
         regulator_eval(MilnorSymbolSum.symbol(T, T, T), loop, CTX)
+
+
+# -- regulator routes: the residue sum against full-precision quadrature
+
+
+def linear_product(roots):
+    out = ONE
+    for r in roots:
+        out = out * RationalFunc((-r, Fraction(1)))
+    return out
+
+
+def route_loop(center_re, radius, orientation=1):
+    """Circle about center_re + radius*i/5: clear of the real axis's symmetry."""
+    with CTX.work():
+        center = mp.mpc(mp.mpf(center_re.numerator) / center_re.denominator,
+                        mp.mpf(radius.numerator) / radius.denominator / 5)
+        return CircleAround(center, mp.mpf(radius.numerator) / radius.denominator, orientation)
+
+
+def inside(rng, center_re, radius, k):
+    # rational roots within 0.45 radius of the center
+    return [center_re + radius * Fraction(x, 10) for x in rng.sample(range(-4, 5), k)]
+
+
+def outside(rng, center_re, radius, k):
+    # rational roots at least twice the radius away from the center
+    return [center_re + radius * Fraction(rng.choice((-1, 1)) * rng.randint(20, 30), 10)
+            for _ in range(k)]
+
+
+def route_case(name, rng):
+    c, r = Fraction(rng.randint(-10, 10), 10), Fraction(rng.randint(5, 20), 10)
+    if name == "orientation -1":
+        f = linear_product(inside(rng, c, r, 1)) / linear_product(outside(rng, c, r, 1))
+        g = linear_product(inside(rng, c, r, 1) + outside(rng, c, r, 1))
+        return {(f, g): 1}, route_loop(c, r, -1)
+    if name == "weighted sum":
+        zeros = inside(rng, c, r, 3)
+        f1 = linear_product(zeros[:1]) / linear_product(outside(rng, c, r, 1))
+        g1 = linear_product(zeros[1:2] + outside(rng, c, r, 1))
+        f2 = linear_product(zeros[2:] + outside(rng, c, r, 1))
+        g2 = linear_product(outside(rng, c, r, 2))
+        return {(f1, g1): 2, (f2, g2): Fraction(-1, 3)}, route_loop(c, r)
+    if name == "pole of g only":
+        f = linear_product(outside(rng, c, r, 2)) / linear_product(outside(rng, c, r, 1))
+        g = linear_product(outside(rng, c, r, 1)) / linear_product(inside(rng, c, r, 1))
+        return {(f, g): 1}, route_loop(c, r)
+    if name == "contractible":
+        f = linear_product(outside(rng, c, r, 2)) / linear_product(outside(rng, c, r, 1))
+        g = linear_product(outside(rng, c, r, 2))
+        return {(f, g): 1}, route_loop(c, r)
+    if name == "t^2-2 one conjugate":
+        c, r = Fraction(7, 5), Fraction(1, 2)
+        g = linear_product(outside(rng, c, r, 1)) / linear_product(outside(rng, c, r, 1))
+        return {(SHRINK_F, g): 1}, route_loop(c, r)
+    if name == "t^2-2 both conjugates":
+        c, r = Fraction(0), Fraction(2)
+        g = linear_product(inside(rng, c, r, 1) + outside(rng, c, r, 1))
+        return {(SHRINK_F, g): 1}, route_loop(c, r)
+    raise AssertionError(name)
+
+
+def quadrature_value(terms, loop, ctx):
+    """Sum of weight * (integral + delta) by quadrature at ctx's precision."""
+    with ctx.work():
+        total = mp.mpc(0)
+        for (f, g), weight in terms.items():
+            crossings = detect_crossings(f.numerator, f.denominator, loop, ctx)
+
+            def integrand(t, f=f, g=g):
+                z = loop.point(t)
+                return mp.log(f.eval_mpc(z)) * g.dlog_mpc(z) * loop.tangent(t)
+
+            part = integrate_path(integrand, loop, ctx, splits=[c.param for c in crossings])
+            for c in crossings:
+                gval = g.eval_mpc(loop.point(c.param))
+                log_g = mp.log(gval)
+                if gval.real < 0 and abs(gval.imag) <= ctx.tol * abs(gval):
+                    # the module's convention where g sits on its own cut: a
+                    # crossing at a real point z, where f and g are both real
+                    log_g = mp.mpc(log_g.real, c.orientation * mp.pi)
+                part += loop.orientation * -2j * mp.pi * c.orientation * log_g
+            weight = Fraction(weight)
+            total += mp.mpf(weight.numerator) / weight.denominator * part
+        return total
+
+
+ROUTE_CASES = (
+    "orientation -1",
+    "weighted sum",
+    "pole of g only",
+    "contractible",
+    "t^2-2 one conjugate",
+    "t^2-2 both conjugates",
+)
+
+
+@pytest.mark.parametrize("name", ROUTE_CASES)
+def test_regulator_residue_route_matches_full_precision_quadrature(name):
+    terms, loop = route_case(name, random.Random(f"route:{name}"))
+    rv = regulator_eval(MilnorSymbolSum.from_terms(2, terms), loop, CTX)
+    with CTX.work():
+        assert abs(rv.value - quadrature_value(terms, loop, CTX)) < mp.mpf("1e-35")
+
+
+def test_regulator_value_stable_from_96_to_192_digits_with_k_nonzero():
+    f = RationalFunc.parse("(t + 1/2)/(t - 1/2)")
+    g = RationalFunc.parse("(t - 2)*(t + 3)")
+    values = {}
+    for digits in (96, 192):
+        ctx = PrecisionCtx(digits)
+        with ctx.work():
+            loop = CircleAround(mp.mpc(0, mp.mpf(3) / 10), 1)
+        values[digits] = regulator_eval((f, g), loop, ctx).value
+    with PrecisionCtx(192).work():
+        # both tame symbols are negative: the principal-log residue sum sits
+        # a nonzero multiple k of (2*pi*i)^2 away from the value
+        units = [tame_symbol((f, g), Place.rational(x)) for x in (Fraction(-1, 2), Fraction(1, 2))]
+        principal = sum(-2j * mp.pi * mp.log(mp.mpf(u.numerator) / u.denominator) for u in units)
+        k = (values[192] - principal) / (2j * mp.pi) ** 2
+        assert abs(k - mp.nint(k.real)) < mp.mpf("1e-150")
+        assert mp.nint(k.real) != 0
+        assert abs(values[96] - values[192]) < mp.mpf(10) ** -76
+
+
+def test_regulator_answers_at_96_digits_where_quadrature_stalled():
+    # a full-precision quadrature answered this loop at 48 digits but stalled
+    # at 96; the residue sum answers at 96 and agrees with the 48-digit value
+    f = RationalFunc.parse("(t + 4/3)/(t - 1/3)")
+    g = RationalFunc.parse("(t - 3)*(t + 5/2)")
+    ctx = PrecisionCtx(96)
+    with ctx.work():
+        loop = CircleAround(mp.mpc(mp.mpf(-4) / 5, mp.mpf(-2) / 5), mp.mpf(21) / 10)
+        pinned = mp.mpf("-3.050535574640435873206171454852119993949147")
+    rv = regulator_eval((f, g), loop, ctx)
+    with ctx.work():
+        assert abs(rv.value.imag - pinned) < mp.mpf(10) ** -38
+        assert abs(rv.value.real) < mp.mpf(10) ** -96
+
+
+def test_regulator_refuses_a_wrong_tame_symbol(monkeypatch):
+    with CTX.work():
+        loop = CircleAround(mp.sqrt(2), mp.mpf("0.01"))
+    monkeypatch.setattr(milnor, "tame_symbol", lambda pair, place: Fraction(3))
+    with pytest.raises(InvariantError, match="route agreement"):
+        regulator_eval((SHRINK_F, SHRINK_G), loop, CTX)
 
 
 def test_regulator_json_shape():
