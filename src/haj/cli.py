@@ -22,9 +22,8 @@ pool without reordering the responses.
 
 Period lattices are the one expensive shared input, so they get a small
 content-addressed cache: one JSON file per (g2, g3, digits) key holding the
-serialized basis and a checksum, written atomically, checksummed on every
-load and revalidated against the Eisenstein series the first time a process
-loads that file with that checksum. A cache hit prints the bytes of the
+serialized basis and a checksum, written atomically and revalidated against
+the Eisenstein series on every load. A cache hit prints the bytes of the
 run that wrote the entry, because both render from the same serialized
 strings. Without a cache directory, lattices come from the process-wide
 pool ``elliptic.period_lattice`` and render from the computed basis, so
@@ -33,7 +32,6 @@ documents can differ from a cached run's below 10^-digits.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import json
 import os
@@ -411,29 +409,6 @@ class PeriodCacheEntry:
         return _validate_basis(curve, lat.omega_alpha, lat.omega_beta, ctx)
 
 
-# (cache file, checksum) of the entries that passed revalidation in this
-# process, least recently used first. The checksum covers the key (g2, g3,
-# digits) and the basis, so a file read again with the same checksum would
-# pass again; a changed file has another checksum and is revalidated.
-_REVALIDATED: "collections.OrderedDict[Tuple[str, str], None]" = collections.OrderedDict()
-_REVALIDATED_MAX = 256
-
-
-def _revalidated(path: pathlib.Path, entry: PeriodCacheEntry, curve: EllipticCurve,
-                 ctx: PrecisionCtx) -> bool:
-    """``entry.revalidate``, run once per (path, checksum) in a process."""
-    memo_key = (str(path), entry.checksum)
-    if memo_key in _REVALIDATED:
-        _REVALIDATED.move_to_end(memo_key)
-        return True
-    if not entry.revalidate(curve, ctx):
-        return False
-    _REVALIDATED[memo_key] = None
-    if len(_REVALIDATED) > _REVALIDATED_MAX:
-        _REVALIDATED.popitem(last=False)
-    return True
-
-
 def _cache_path(cache_dir: pathlib.Path, key: dict) -> pathlib.Path:
     import hashlib
 
@@ -466,9 +441,7 @@ class Session:
     rendering always goes through the serialized entry, so a hit prints the
     bytes of the run that wrote the entry. The process-wide pool lives in
     ``elliptic.period_lattice``; without a cache directory the lattice
-    comes from there, and so does a cache miss. Every hit reads its file
-    and checks key and checksum, but the Eisenstein revalidation runs once
-    per (file, checksum) in a process.
+    comes from there, and so does a cache miss.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -494,8 +467,7 @@ class Session:
                 entry = PeriodCacheEntry.from_json(json.loads(path.read_text()))
             except (KeyError, TypeError, json.JSONDecodeError):
                 entry = None
-            if (entry is not None and entry.key == key and entry.verify()
-                    and _revalidated(path, entry, curve, ctx)):
+            if entry is not None and entry.key == key and entry.verify() and entry.revalidate(curve, ctx):
                 self.events.append(f"cache-hit {path.name}")
                 return entry.lattice(curve, ctx)
             self.events.append(f"cache-rejected {path.name}")

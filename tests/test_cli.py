@@ -11,7 +11,6 @@ import pytest
 from click.testing import CliRunner
 from mpmath import mp
 
-from haj import cli
 from haj.cli import (
     PRESET_NAMES,
     PeriodCacheEntry,
@@ -511,46 +510,6 @@ def test_cache_entry_roundtrip_and_checksum(runner, tmp_path):
     rescued = invoke(runner, args)
     assert rescued.output == cold.output
     assert PeriodCacheEntry.from_json(json.loads(path.read_text())).verify()
-
-
-def test_cache_hit_revalidates_each_file_once(runner, tmp_path, monkeypatch):
-    calls = []
-    validate = cli._validate_basis
-
-    def counting(*args):
-        calls.append(args)
-        return validate(*args)
-
-    monkeypatch.setattr(cli, "_validate_basis", counting)
-    cache = tmp_path / "cache"
-    manifest = tmp_path / "run.json"
-    args = ["periods", "--g2", "8", "--g3", "1", "--digits", "48",
-            "--cache-dir", str(cache), "--manifest", str(manifest)]
-
-    def events():
-        return json.loads(manifest.read_text())["cache_events"]
-
-    cold = invoke(runner, args)
-    path = next(cache.glob("periods-*.json"))
-    assert calls == []
-    for _ in range(3):
-        hit = invoke(runner, args)
-        assert hit.output == cold.output
-        assert events() == [f"cache-hit {path.name}"]
-    assert len(calls) == 1
-
-    # a changed basis under a recomputed checksum is a new (file, checksum):
-    # it is revalidated, rejected and rebuilt
-    entry = PeriodCacheEntry.from_json(json.loads(path.read_text()))
-    payload = json.loads(json.dumps(entry.payload))
-    re = payload["omega_alpha"]["re"]
-    payload["omega_alpha"]["re"] = re[:4] + ("1" if re[4] != "1" else "2") + re[5:]
-    forged = PeriodCacheEntry(entry.key, payload, PeriodCacheEntry._digest(entry.key, payload))
-    path.write_text(json.dumps(forged.to_json()))
-    rescued = invoke(runner, args)
-    assert rescued.output == cold.output
-    assert events() == [f"cache-rejected {path.name}", f"cache-write {path.name}"]
-    assert len(calls) == 2
 
 
 def test_manifest_carries_metadata_not_verdict(runner, tmp_path):
