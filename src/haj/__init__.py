@@ -2,8 +2,8 @@
 
 Subpackages by layer:
 
-* :mod:`haj.numkernel` - precision contexts, circle loops, AGM, quadrature,
-  branch-cut crossings
+* :mod:`haj.numkernel` - precision contexts, circle loops, AGM, trapezoid-rule
+  loop integration, branch-cut crossings
 * :mod:`haj.elliptic` - curves, periods, Weierstrass functions, group law
 * :mod:`haj.relations` - PSLQ, exact LLL, lattice membership certificates
 * :mod:`haj.cycles` - formal zero-cycles, box cycles, face projections

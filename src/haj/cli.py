@@ -57,6 +57,7 @@ from .numkernel import (
     QuadratureStall,
     TangencySuspected,
     complex_to_json,
+    poly_roots,
 )
 from .elliptic import (
     CurvePoint,
@@ -753,6 +754,16 @@ def _loop_from(args: dict, ctx: PrecisionCtx, radius=None) -> CircleAround:
                 raise SchemaError("inputs.center.root_of", "expected a polynomial in t")
             seed = _complex_from(_need(center_doc, "near", "inputs.center"), "inputs.center.near")
             center = mp.findroot(poly.eval_mpc, seed)
+            # Newton's method can leave the nearest root's basin: refuse a seed
+            # that another root lies nearer to than the one found
+            coeffs = [_frac_mpf(c) for c in poly.numerator]
+            nearest = min(poly_roots(coeffs, ctx), key=lambda x: abs(x - seed))
+            if abs(nearest - seed) < abs(center - seed) - ctx.tol:
+                raise SchemaError(
+                    "inputs.center.near",
+                    f"the root found from it, {mp.nstr(center, 12)}, is not the nearest "
+                    f"root, {mp.nstr(nearest, 12)}; give a seed closer to the root meant",
+                )
         else:
             center = _complex_from(center_doc, "inputs.center")
         if radius is None:

@@ -28,6 +28,13 @@ poles p inside the loop, with T_p the exact tame symbol (evaluated at each
 enclosed conjugate root) and k an integer. The loop quadrature runs only as
 a check at the 32-digit context floor, whatever precision is asked for: it
 fixes k by rounding and refuses the value when the two routes disagree.
+The check is the periodic trapezoid rule on the circle: one FFT of
+dlog f and of dlog g gives their winding numbers (a root-free second audit
+of the zeros minus poles inside) and spectral antiderivatives, the
+integral follows by Parseval, and the branch of log f and log g at the
+base point and at each crossing is counted exactly, so no log is taken at
+the nodes. Its node count comes from the zero or pole nearest the circle;
+a loop that would need more than 4096 nodes raises QuadratureStall.
 A loop that encloses only a simple zero x0 of f, where g is a unit, has
 T_x0 = g(x0), so its value is -2*pi*i*log g(x0) modulo (2*pi*i)^2 exactly
 at every radius: the shrinking-loop defect reads 0, and the numerical
@@ -37,6 +44,7 @@ evidence for that loop is the quadrature check's 10^-16 gate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -55,6 +63,7 @@ from .numkernel import (
     detect_crossings,
     integrate_path,
     poly_roots,
+    trapezoid_nodes,
 )
 from .relations import LatticeMembership, lattice_membership
 
@@ -398,9 +407,6 @@ class MilnorSymbolSum:
 # Steinberg normal form
 # ---------------------------------------------------------------------------
 
-_ATOM_CACHE: Dict[RationalFunc, Tuple[Tuple[RationalFunc, int], ...]] = {}
-
-
 def _monic_factors(coeffs: Tuple[Fraction, ...]) -> Tuple[Fraction, list]:
     """Factor a polynomial over Q into a unit and monic irreducibles.
 
@@ -420,15 +426,15 @@ def _monic_factors(coeffs: Tuple[Fraction, ...]) -> Tuple[Fraction, list]:
     return unit, out
 
 
+# bounded, so that a long --stdio process normalizing many distinct symbols
+# keeps a fixed footprint
+@functools.lru_cache(maxsize=256)
 def _entry_atoms(f: RationalFunc) -> Tuple[Tuple[RationalFunc, int], ...]:
     """Multiplicative atoms of f: a unit constant and monic irreducibles.
 
     Constants stay atomic (no integer factorization); the unit constant
     of the whole function splits off as one atom. f = 1 yields no atoms.
     """
-    cached = _ATOM_CACHE.get(f)
-    if cached is not None:
-        return cached
     if f.is_zero:
         raise ZeroEntry("cannot factor the zero function")
     atoms: list = []
@@ -440,9 +446,7 @@ def _entry_atoms(f: RationalFunc) -> Tuple[Tuple[RationalFunc, int], ...]:
             atoms.append((RationalFunc(_coeffs(poly)), sign * exp))
     if unit != 1:
         atoms.insert(0, (RationalFunc.const(unit), 1))
-    result = tuple(atoms)
-    _ATOM_CACHE[f] = result
-    return result
+    return tuple(atoms)
 
 
 def _expand_tuple(tup: Tuple[RationalFunc, ...]):
@@ -795,8 +799,9 @@ class RegulatorValue:
     principal log f against dlog g along the loop and delta corrects each
     branch jump with -2*pi*i times log g at the crossing. The value is the
     residue sum at full precision, shifted by the (2*pi*i)^2 multiple that
-    a 32-digit quadrature of the integral fixes; ``delta`` is the sum over
-    the crossings at full precision, and ``integral`` is value - delta.
+    a 32-digit trapezoid-rule quadrature of the integral fixes; ``delta``
+    is the sum over the crossings at full precision, and ``integral`` is
+    value - delta.
     The value is well defined modulo (2*pi*i)^2 Q; ``indeterminacy``
     records the lattice-membership evidence for the reduction against
     that line.
@@ -834,41 +839,109 @@ _MAX_LOOP_DEGREE = 50
 
 # the quadrature check runs at the context floor whatever digits are asked
 # for: it only has to fix k, whose margin is |2*pi*i|^2 / 2 ~ 19.7, and gate
-# the residue sum at this context's agreement_tol (10^-16)
+# the residue sum at this context's agreement_tol (10^-16); its trapezoid
+# rule aims four digits below that gate
 _CHECK_CTX = PrecisionCtx(32)
+_CHECK_DIGITS = 20
 
 
 def _enclosed(
     coeffs: Tuple[Fraction, ...], loop: CircleAround, ctx: PrecisionCtx
-) -> Tuple[int, Dict[Tuple[Fraction, ...], list]]:
+) -> Tuple[int, Dict[Tuple[Fraction, ...], list], mp.mpf]:
     """Roots of a polynomial inside the loop's circle, grouped by place.
 
-    Returns the number of roots inside with multiplicity, and for each
-    monic irreducible factor with a root inside, its minimal polynomial
-    mapped to those roots. Each root finder call sees one irreducible
-    factor, so simple roots only. A root within sqrt(tol) * radius of the
-    circle raises CutGrazing: the loop passes through a zero or pole to
-    working precision.
+    Returns the number of roots inside with multiplicity; for each monic
+    irreducible factor with a root inside, its minimal polynomial mapped
+    to those roots; and the distance ratio of the root nearest the
+    circle, min max(d/r, r/d) over the roots at distance d > 0 from the
+    center (infinite when there is none). Each root finder call sees one
+    irreducible factor, so simple roots only. A root within
+    sqrt(tol) * radius of the circle raises CutGrazing: the loop passes
+    through a zero or pole to working precision.
     """
     center, radius = mp.mpc(loop.center), mp.mpf(loop.radius)
     edge = mp.sqrt(ctx.tol) * radius
-    count, places = 0, {}
+    count, places, ratio = 0, {}, mp.inf
     for factor, mult in _monic_factors(coeffs)[1]:
         minpoly = _coeffs(factor)
         inside = []
         for root in poly_roots(minpoly, ctx):
-            gap = abs(root - center) - radius
-            if abs(gap) <= edge:
+            distance = abs(root - center)
+            if abs(distance - radius) <= edge:
                 raise CutGrazing(
                     "loop passes within working tolerance of a zero or pole; "
                     "move the loop or drop its radius more carefully"
                 )
-            if gap < 0:
+            if distance < radius:
                 inside.append(root)
+            if distance > 0:
+                ratio = min(ratio, max(distance / radius, radius / distance))
         count += mult * len(inside)
         if inside:
             places[minpoly] = inside
-    return count, places
+    return count, places, ratio
+
+
+def _check_value(f, g, loop, nodes, crossings, cut_logs, windings):
+    """The loop integral of principal log f against dlog g, plus its
+    crossing correction, by the periodic trapezoid rule; orientation +1.
+
+    With a = (f'/f) z' and h = (g'/g) z' on the circle, the continuous
+    branch of log f is Log f(z_0) + 2*pi*i*w*t + P(t) and that of log g is
+    Log g(z_0) + 2*pi*i*w_g*t + S(t): w and w_g are the winding numbers
+    a^_0 / 2*pi*i and h^_0 / 2*pi*i, and P, S the periodic antiderivatives
+    with P(0) = S(0) = 0 (coefficients a^_k / 2*pi*i*k, the Nyquist term
+    dropped). Principal Log f is that branch minus 2*pi*i per net crossing
+    before t, and the crossing correction cancels log g at each crossing
+    exactly, leaving
+
+        Log f(z_0) * 2*pi*i*w_g + 2*pi*i*w * (pi*i*w_g - S^_0)
+        + sum_k P^_k h^_-k - 2*pi*i*w * Log g(z_0)
+        + (2*pi*i)^2 * (sum_c o_c * m_c - w * w_g),
+
+    the sum over k by Parseval. m_c is the branch integer of the
+    continuous log g at crossing c against ``cut_logs``, the values the
+    correction uses, so S(t_c) only has to be right to within pi. The
+    winding numbers must match ``windings``, the zeros minus poles of f and
+    of g inside the loop.
+    """
+    two_pi_i = 2j * mp.pi
+    a, h = integrate_path((f.dlog_mpc, g.dlog_mpc), loop, nodes, _CHECK_CTX)
+    w, w_g = (int(mp.nint(mp.re(c[0] / two_pi_i))) for c in (a, h))
+    if (w, w_g) != windings:
+        raise InvariantError(
+            "crossing audit failed: the trapezoid winding numbers of f and g do "
+            "not match their zeros minus poles inside the loop"
+        )
+    freqs = range(1, nodes // 2)
+    # P^_k and S^_k at k = 1, 2, ... and at -1, -2, ...
+    p_pos = [a[k] / (two_pi_i * k) for k in freqs]
+    p_neg = [-a[-k] / (two_pi_i * k) for k in freqs]
+    s_pos = [h[k] / (two_pi_i * k) for k in freqs]
+    s_neg = [-h[-k] / (two_pi_i * k) for k in freqs]
+    p_0 = -mp.fsum(p_pos + p_neg)
+    s_0 = -mp.fsum(s_pos + s_neg)
+    pairing = (
+        p_0 * h[0]
+        + mp.fdot(p_pos, [h[-k] for k in freqs])
+        + mp.fdot(p_neg, [h[k] for k in freqs])
+    )
+    z_0 = loop.point(0)
+    log_f0, log_g0 = mp.log(f.eval_mpc(z_0)), mp.log(g.eval_mpc(z_0))
+    branches = 0
+    for c, log_g in zip(crossings, cut_logs):
+        turn = mp.expjpi(2 * mp.mpf(c.param))
+        back = mp.conj(turn)
+        s_t = s_0 + turn * mp.polyval(s_pos[::-1], turn) + back * mp.polyval(s_neg[::-1], back)
+        continuous = log_g0 + two_pi_i * w_g * c.param + s_t
+        branches += c.orientation * int(mp.nint(mp.re((continuous - log_g) / two_pi_i)))
+    return (
+        log_f0 * two_pi_i * w_g
+        + two_pi_i * w * (1j * mp.pi * w_g - s_0)
+        + pairing
+        - two_pi_i * w * log_g0
+        + two_pi_i**2 * (branches - w * w_g)
+    )
 
 
 def _pair_regulator(f: RationalFunc, g: RationalFunc, loop: CircleAround, ctx: PrecisionCtx):
@@ -886,18 +959,19 @@ def _pair_regulator(f: RationalFunc, g: RationalFunc, loop: CircleAround, ctx: P
             _enclosed(p, loop, ctx)
             for p in (f.numerator, f.denominator, g.numerator, g.denominator)
         ]
+        nodes = trapezoid_nodes(min(ratio for _, _, ratio in parts), _CHECK_DIGITS)
         crossings = detect_crossings(f.numerator, f.denominator, loop, ctx)
     except TangencySuspected as exc:
         raise CutGrazing(f"loop grazes the branch cut of log f: {exc}") from exc
     # argument principle: the signed crossings count the winding of f about 0
-    (zeros, _), (poles, _) = parts[:2]
+    zeros, poles, g_zeros, g_poles = (count for count, _, _ in parts)
     if sum(c.orientation for c in crossings) != zeros - poles:
         raise InvariantError(
             "crossing audit failed: net signed count does not match the zeros "
             "minus poles of f inside the loop"
         )
     places = {}
-    for _, inside in parts:
+    for _, inside, _ in parts:
         places.update(inside)
     two_pi_i = 2j * mp.pi
     residue = mp.mpc(0)
@@ -910,6 +984,7 @@ def _pair_regulator(f: RationalFunc, g: RationalFunc, loop: CircleAround, ctx: P
             residue += -two_pi_i * mp.log(_horner(coeffs, root))
     residue *= loop.orientation
     delta = mp.mpc(0)
+    cut_logs = []
     for c in crossings:
         gval = g.eval_mpc(loop.point(c.param))
         log_g = mp.log(gval)
@@ -918,18 +993,13 @@ def _pair_regulator(f: RationalFunc, g: RationalFunc, loop: CircleAround, ctx: P
             # the principal value for a downward crossing and its mirror for an
             # upward one, so the term's (2*pi*i)^2 part is the same either way
             log_g = mp.mpc(log_g.real, c.orientation * mp.pi)
+        cut_logs.append(log_g)
         delta += -two_pi_i * c.orientation * log_g
     delta *= loop.orientation
 
-    def integrand(t):
-        z = loop.point(t)
-        return mp.log(f.eval_mpc(z)) * g.dlog_mpc(z) * loop.tangent(t)
-
-    # the check adds the full-precision delta, so a branch that only its
-    # rounding would pick differently cannot shift k against the delta reported
     with _CHECK_CTX.work():
-        quad = delta + integrate_path(
-            integrand, loop, _CHECK_CTX, splits=[c.param for c in crossings]
+        quad = loop.orientation * _check_value(
+            f, g, loop, nodes, crossings, cut_logs, (zeros - poles, g_zeros - g_poles)
         )
         base = (2j * mp.pi) ** 2
         k = int(mp.nint(mp.re((quad - residue) / base)))

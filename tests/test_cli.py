@@ -173,12 +173,13 @@ def test_module_error_hints(runner):
     assert err["type"] == "StratificationOverflow"
     assert "lower-degree" in err["hint"]
 
-    # the loop passes 0.05 from the zero of g at -1/2, where the quadrature
-    # check stalls whatever --digits is: the hint moves the loop instead
+    # the loop passes 0.023 from the zero of g at -1/2, a distance ratio of
+    # 1.015: the check's trapezoid rule would need 7700 nodes, above its budget
+    # whatever --digits is, so the hint moves the loop instead
     result = invoke(
         runner,
         ["milnor-reg", "--f", "(t+4)/(t+2)", "--g", "(t+1/2)*(t-1)",
-         "--center", "-2,0.4", "--radius", "3/2", "--digits", "64"],
+         "--center", "-2,0.4", "--radius", "153/100", "--digits", "64"],
     )
     assert result.exit_code == 1
     err = doc_of(result)["error"]
@@ -189,6 +190,38 @@ def test_module_error_hints(runner):
     result = invoke(runner, ["ellog", "--g2", "20", "--g3", "0", "--x", "1", "--y", "1"])
     assert result.exit_code == 2
     assert doc_of(result)["error"]["field"] == "inputs.point"
+
+
+def test_loop_near_a_zero_answers_where_quadrature_stalled(runner):
+    # 0.05 from the zero of g at -1/2 (distance ratio 1.035) adaptive
+    # Gauss-Legendre stalled; the trapezoid rule answers with 4096 nodes. Only
+    # the pole of f at -2 lies inside, where the tame symbol is 1/g(-2) = 2/9.
+    result = invoke(
+        runner,
+        ["milnor-reg", "--f", "(t+4)/(t+2)", "--g", "(t+1/2)*(t-1)",
+         "--center", "-2,0.4", "--radius", "3/2", "--digits", "64"],
+    )
+    assert result.exit_code == 0
+    value = doc_of(result)["result"]["regulator"]["value"]
+    with mp.workdps(64):
+        assert abs(mp.mpf(value["im"]) + 2 * mp.pi * mp.log(mp.mpf(2) / 9)) < mp.mpf("1e-60")
+        k = mp.mpf(value["re"]) / (-4 * mp.pi**2)
+        assert abs(k - mp.nint(k)) < mp.mpf("1e-60")
+
+
+def test_root_of_center_refuses_a_seed_nearer_another_root(runner):
+    # Newton's method from 1.04 converges to 1.1, not to the nearer root 1
+    request = {"op": "milnor-reg", "config": {"digits": 48}, "f": "t - 1", "g": "t + 5",
+               "center": {"root_of": "(t-1)*(t-11/10)*(t+3)", "near": "1.04"},
+               "radius": "1/100"}
+    result = runner.invoke(main, ["--stdio"], input=json.dumps(request) + "\n")
+    assert result.exit_code == 2
+    assert _stdio_lines(result)[0]["error"]["field"] == "inputs.center.near"
+    # a seed in the right basin still answers, also beside a double root
+    for root_of, near in (("(t-1)*(t-11/10)*(t+3)", "1.01"), ("(t-1)*(t-5)^2", "1.04")):
+        request["center"] = {"root_of": root_of, "near": near}
+        result = runner.invoke(main, ["--stdio"], input=json.dumps(request) + "\n")
+        assert result.exit_code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +627,20 @@ def test_import_leaves_heavy_modules_unloaded():
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_regulator_request_loads_no_array_library():
+    # the regulator check's FFT runs in mpmath: one milnor-reg request leaves
+    # numpy and scipy unimported (numpy alone adds about 13 MB of RSS)
+    request = json.dumps({"op": "milnor-reg", "preset": "paper-9-loops", "config": {"digits": 48}})
+    probe = ("import sys, haj.cli; out, code = haj.cli._stdio_one(sys.argv[1]); "
+             "assert code == 0, out; "
+             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe, request], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
 

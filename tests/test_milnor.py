@@ -4,10 +4,13 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath.calculus.quadrature as quadrature
 import pytest
+from click.testing import CliRunner
 from mpmath import mp
 
 from haj import milnor
+from haj.cli import main
 from haj.cycles import ZeroCycle
 from haj.invariants import CutGrazing, InvariantError, StratificationOverflow
 from haj.milnor import (
@@ -23,7 +26,7 @@ from haj.milnor import (
     tame_symbol,
     weil_reciprocity_check,
 )
-from haj.numkernel import CircleAround, PrecisionCtx, detect_crossings, integrate_path
+from haj.numkernel import CircleAround, PrecisionCtx, detect_crossings
 
 CTX = PrecisionCtx(48)
 
@@ -199,6 +202,19 @@ def test_normalize_idempotent_on_random_sums():
         s = MilnorSymbolSum.from_terms(2, terms)
         once = steinberg_normalize(s)
         assert steinberg_normalize(once) == once
+
+
+def test_normalize_atom_cache_is_bounded():
+    # a long process normalizing many distinct functions keeps 256 of them
+    milnor._entry_atoms.cache_clear()
+    for a in range(1, 151):
+        steinberg_normalize(sym(RationalFunc((a, 1)), RationalFunc((a, 2))))
+    info = milnor._entry_atoms.cache_info()
+    assert info.maxsize == 256
+    assert info.currsize == 256
+    assert info.misses > 256
+    steinberg_normalize(sym(RationalFunc((150, 1)), RationalFunc((150, 2))))
+    assert milnor._entry_atoms.cache_info().hits > info.hits
 
 
 def test_normalize_antisymmetry_sign():
@@ -509,28 +525,46 @@ def route_case(name, rng):
     raise AssertionError(name)
 
 
+def cut_logs(g, loop, crossings, ctx):
+    """log g at each crossing, with the module's convention where g sits on
+    its own cut: a crossing at a real point z, where f and g are both real."""
+    out = []
+    for c in crossings:
+        gval = g.eval_mpc(loop.point(c.param))
+        log_g = mp.log(gval)
+        if gval.real < 0 and abs(gval.imag) <= ctx.tol * abs(gval):
+            log_g = mp.mpc(log_g.real, c.orientation * mp.pi)
+        out.append(log_g)
+    return out
+
+
+def gauss_legendre_value(f, g, loop, ctx):
+    """Integral of principal log f against dlog g plus the crossing
+    correction, by adaptive Gauss-Legendre quadrature between crossings."""
+    with ctx.work():
+        crossings = detect_crossings(f.numerator, f.denominator, loop, ctx)
+
+        def integrand(t):
+            z = loop.point(t)
+            return mp.log(f.eval_mpc(z)) * g.dlog_mpc(z) * loop.tangent(t)
+
+        pts = [mp.mpf(0)] + [mp.mpf(c.param) for c in crossings] + [mp.mpf(1)]
+        total = mp.fsum(
+            mp.quad(integrand, [left, right], method="gauss-legendre")
+            for left, right in zip(pts[:-1], pts[1:])
+        )
+        for c, log_g in zip(crossings, cut_logs(g, loop, crossings, ctx)):
+            total += -2j * mp.pi * c.orientation * log_g
+        return loop.orientation * total
+
+
 def quadrature_value(terms, loop, ctx):
     """Sum of weight * (integral + delta) by quadrature at ctx's precision."""
     with ctx.work():
         total = mp.mpc(0)
         for (f, g), weight in terms.items():
-            crossings = detect_crossings(f.numerator, f.denominator, loop, ctx)
-
-            def integrand(t, f=f, g=g):
-                z = loop.point(t)
-                return mp.log(f.eval_mpc(z)) * g.dlog_mpc(z) * loop.tangent(t)
-
-            part = integrate_path(integrand, loop, ctx, splits=[c.param for c in crossings])
-            for c in crossings:
-                gval = g.eval_mpc(loop.point(c.param))
-                log_g = mp.log(gval)
-                if gval.real < 0 and abs(gval.imag) <= ctx.tol * abs(gval):
-                    # the module's convention where g sits on its own cut: a
-                    # crossing at a real point z, where f and g are both real
-                    log_g = mp.mpc(log_g.real, c.orientation * mp.pi)
-                part += loop.orientation * -2j * mp.pi * c.orientation * log_g
             weight = Fraction(weight)
-            total += mp.mpf(weight.numerator) / weight.denominator * part
+            total += mp.mpf(weight.numerator) / weight.denominator * gauss_legendre_value(f, g, loop, ctx)
         return total
 
 
@@ -550,6 +584,64 @@ def test_regulator_residue_route_matches_full_precision_quadrature(name):
     rv = regulator_eval(MilnorSymbolSum.from_terms(2, terms), loop, CTX)
     with CTX.work():
         assert abs(rv.value - quadrature_value(terms, loop, CTX)) < mp.mpf("1e-35")
+
+
+def branch_case(seed):
+    """A loop about zeros of f and of g, so the continuous log g often sits
+    off the principal branch at f's crossings."""
+    rng = random.Random(f"branch:{seed}")
+    c, r = Fraction(rng.randint(-10, 10), 10), Fraction(rng.randint(5, 20), 10)
+    f = linear_product(inside(rng, c, r, rng.randint(1, 2))) / linear_product(outside(rng, c, r, 1))
+    g = linear_product(inside(rng, c, r, rng.randint(1, 2)) + outside(rng, c, r, 1))
+    if rng.random() < 0.5:
+        g = g * RationalFunc.const(-1)
+    return f, g, route_loop(c, r, rng.choice((1, -1)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_trapezoid_check_matches_gauss_legendre_with_branch_integers(seed, monkeypatch):
+    f, g, loop = branch_case(seed)
+    check, original, seen = milnor._CHECK_CTX, milnor._check_value, []
+
+    def spy(*args):
+        seen.append((args[4], args[5], original(*args)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(milnor, "_check_value", spy)
+    rv = regulator_eval((f, g), loop, CTX)
+    (crossings, logs, value), = seen
+    with check.work():
+        reference = gauss_legendre_value(f, g, loop, check)
+        # the branch integer m_c of the continuous log g at each crossing
+        h = lambda t: g.dlog_mpc(loop.point(t)) * loop.tangent(t)
+        log_g0 = mp.log(g.eval_mpc(loop.point(0)))
+        branches = sum(
+            c.orientation * int(mp.nint(mp.re((log_g0 + mp.quad(h, [0, c.param]) - log_g) / (2j * mp.pi))))
+            for c, log_g in zip(crossings, logs)
+        )
+        assert branches != 0
+        assert abs(loop.orientation * value - reference) < mp.mpf("1e-20")
+        # the same (2*pi*i)^2 multiple: the reference sits on the value itself
+        assert abs(reference - rv.value) < mp.mpf("1e-20")
+
+
+def test_regulator_runs_no_adaptive_quadrature(monkeypatch):
+    # every route loop and the paper's shrinking loops answer with the
+    # trapezoid rule alone: no mp.quad call and no Gauss-Legendre nodes
+    def no_quad(*args, **kwargs):
+        raise AssertionError("the regulator ran an adaptive quadrature")
+
+    monkeypatch.setattr(mp, "quad", no_quad)
+    monkeypatch.setattr("mpmath.quad", no_quad)
+    monkeypatch.setattr(quadrature.GaussLegendre, "calc_nodes", no_quad)
+    ctx = PrecisionCtx(64)
+    for name in ROUTE_CASES:
+        terms, loop = route_case(name, random.Random(f"route:{name}"))
+        regulator_eval(MilnorSymbolSum.from_terms(2, terms), loop, ctx)
+    result = CliRunner().invoke(
+        main, ["milnor-reg", "--preset", "paper-9-loops", "--digits", "64"], catch_exceptions=False
+    )
+    assert result.exit_code == 0
 
 
 def test_regulator_value_stable_from_96_to_192_digits_with_k_nonzero():

@@ -1,4 +1,4 @@
-"""Kernel tests: precision contexts, AGM, circle loops, quadrature, crossings.
+"""Kernel tests: precision contexts, AGM, circle loops, the trapezoid rule, crossings.
 
 Oracle values are frozen from independent computations (hand-iterated AGM,
 closed-form contour integrals, angles read off by elementary trigonometry).
@@ -30,6 +30,7 @@ from haj.numkernel import (
     complex_to_json,
     detect_crossings,
     integrate_path,
+    trapezoid_nodes,
 )
 
 CTX = PrecisionCtx(48)
@@ -139,72 +140,79 @@ def test_path_orientation_validation():
 
 
 def test_integrate_residue_2pii():
-    # closed form: contour integral of 1/z over the unit circle is 2 pi i
+    # closed form: contour integral of 1/z over the unit circle is 2 pi i,
+    # and 1/z * z' is constant on it, so every other coefficient vanishes
     with CTX.work():
-        v = integrate_path(lambda t: UNIT.tangent(t) / UNIT.point(t), UNIT, CTX)
-        assert abs(v - 2j * mp.pi) < CTX.tol * 10
+        (c,) = integrate_path([lambda z: 1 / z], UNIT, 8, CTX)
+        assert abs(c[0] - 2j * mp.pi) < CTX.tol * 10
+        assert max(abs(x) for x in c[1:]) < CTX.tol * 10
 
 
 def test_integrate_holomorphic_vanishes():
+    # z^k dz is exact for k >= 0: its loop integral vanishes at every center
     p = CircleAround(mp.mpc(0, 1), mp.mpf(2))
     with CTX.work():
-        v = integrate_path(lambda t: p.point(t) ** 2 * p.tangent(t), p, CTX)
-        assert abs(v) < CTX.tol * 10
+        coeffs = integrate_path([lambda z, k=k: z**k for k in range(5)], p, 8, CTX)
+        assert max(abs(c[0]) for c in coeffs) < CTX.tol * 10
 
 
-def test_integrate_segment_closed_form():
-    # the integrand is any function of t in [0, 1]; pulled back along the
-    # segment z = a + t*(b - a) it gives int_a^b z^2 dz = (b^3 - a^3)/3
-    a = mp.mpc(-1, 2)
-    b = mp.mpc(3, 1)
+def test_integrate_fourier_coefficients_closed_form():
+    # on z = c + r*e^(2*pi*i*t), (z - c)^2 * z' = 2*pi*i * r^3 * e^(6*pi*i*t):
+    # one coefficient at frequency 3, and frequency -3 sits at index N - 3
+    p = CircleAround(mp.mpc(1, -2), mp.mpf("0.5"))
     with CTX.work():
-        v = integrate_path(lambda t: (a + t * (b - a)) ** 2 * (b - a), UNIT, CTX)
-        want = (b**3 - a**3) / 3
-        assert abs(v - want) < CTX.tol * 10
+        (c,) = integrate_path([lambda z: (z - p.center) ** 2], p, 8, CTX)
+        assert abs(c[3] - 2j * mp.pi * mp.mpf("0.125")) < CTX.tol * 10
+        assert max(abs(x) for k, x in enumerate(c) if k != 3) < CTX.tol * 10
+        (c,) = integrate_path([lambda z: 1 / (z - p.center) ** 4], p, 8, CTX)
+        assert abs(c[5] - 2j * mp.pi * 8) < CTX.tol * 10
 
 
-def test_integrate_orientation_flips_sign():
-    # holomorphic integrands vanish on a circle, so take conj(z) dz = 2 pi i r^2
+def test_integrate_ignores_orientation():
+    # the coefficients follow t as in CircleAround.point; callers apply the sign
     fwd = CircleAround(mp.mpc(1, 1), mp.mpf("1.5"))
     rev = CircleAround(mp.mpc(1, 1), mp.mpf("1.5"), -1)
     with CTX.work():
-        v1 = integrate_path(lambda t: mp.conj(fwd.point(t)) * fwd.tangent(t), fwd, CTX)
-        v2 = integrate_path(lambda t: mp.conj(rev.point(t)) * rev.tangent(t), rev, CTX)
-        assert abs(v1 - 2j * mp.pi * mp.mpf("2.25")) < CTX.tol * 10
-        assert abs(v1 + v2) < CTX.tol * 10
+        (v1,) = integrate_path([lambda z: 1 / (z - fwd.center)], fwd, 8, CTX)
+        (v2,) = integrate_path([lambda z: 1 / (z - fwd.center)], rev, 8, CTX)
+        assert v1 == v2
+        assert abs(v1[0] - 2j * mp.pi) < CTX.tol * 10
 
 
-def test_integrate_splits_preserve_smooth_value():
+def test_integrate_converges_exponentially_as_nodes_double():
+    # 1/(z - a) with |a| = 2 on the unit circle: the trapezoid integral
+    # misses 2*pi*i*a^-N / (1 - a^-N), so each doubling squares the error
+    a = mp.mpc("1.2", "1.6")
     with CTX.work():
-        base = integrate_path(lambda t: mp.cos(t), UNIT, CTX)
-        split = integrate_path(
-            lambda t: mp.cos(t), UNIT, CTX, splits=(mp.mpf("0.3"), mp.mpf("0.7"))
-        )
-        assert abs(base - split) < CTX.tol * 10
-        assert abs(base - mp.sin(1)) < CTX.tol * 10
+        errors = []
+        for nodes in (8, 16, 32, 64, 128):
+            (c,) = integrate_path([lambda z: 1 / (z - a)], UNIT, nodes, CTX)
+            errors.append(abs(c[0]))
+            assert abs(c[0] + 2j * mp.pi * a**-nodes / (1 - a**-nodes)) < CTX.tol
+        for e1, e2 in zip(errors, errors[1:]):
+            assert e2 < mp.mpf("1.01") * e1**2 / (2 * mp.pi)
+        assert errors[-1] < mp.mpf("1e-37")
 
 
-def test_integrate_piecewise_with_declared_split():
-    # |t - 1/2| integrand, smooth on each side of the declared split
-    with CTX.work():
-        v = integrate_path(lambda t: abs(t - mp.mpf("0.5")), UNIT, CTX, splits=(mp.mpf("0.5"),))
-        assert abs(v - mp.mpf(1) / 4) < CTX.tol * 10
+def test_integrate_needs_a_power_of_two():
+    with pytest.raises(ValueError):
+        integrate_path([lambda z: z], UNIT, 12, CTX)
 
 
-def test_integrate_keeps_a_split_close_to_the_end():
-    # a declared step at t = 1e-40 lies far above tol at 128 digits; merging
-    # splits closer than 1e-30 dropped it and returned 1 instead of 1 - 1e-40
-    ctx = PrecisionCtx(128)
-    with ctx.work():
-        step = mp.mpf("1e-40")
-        v = integrate_path(lambda t: mp.mpf(0) if t < step else mp.mpf(1), UNIT, ctx, splits=(step,))
-        assert abs(v - (1 - step)) < ctx.tol * 10
+def test_trapezoid_nodes_follow_the_ratio():
+    # ratio^(-N/2) <= e^-10 * 10^-20, N a power of 2 and at least 8
+    assert trapezoid_nodes(mp.inf, 20) == 8
+    assert trapezoid_nodes(mp.mpf("12.7"), 20) == 64
+    assert trapezoid_nodes(5, 20) == 128
+    assert trapezoid_nodes(mp.mpf("1.035"), 20) == 4096
 
 
-def test_quadrature_stall_on_undeclared_jump():
-    c = mp.mpf(2) ** mp.mpf("-0.5")
-    with pytest.raises(QuadratureStall):
-        integrate_path(lambda t: mp.mpf(0) if t < c else mp.mpf(1), UNIT, CTX)
+def test_quadrature_stall_over_node_budget():
+    # a zero or pole within a factor 1.02 of the radius needs 5600 nodes
+    with pytest.raises(QuadratureStall, match="budget"):
+        trapezoid_nodes(mp.mpf("1.02"), 20)
+    with pytest.raises(ValueError):
+        trapezoid_nodes(1, 20)
 
 
 # Log-cut crossings of rational functions along circles: f = num/den with
