@@ -21,13 +21,14 @@ compact document per line; ``--jobs N`` fans a batch out over a process
 pool without reordering the responses.
 
 Period lattices are the one expensive shared input, so they get a small
-content-addressed cache: one JSON file per (g2, g3, digits) key holding the
-serialized basis and a checksum, written atomically and revalidated against
-the Eisenstein series on every load. A cache hit prints the bytes of the
-run that wrote the entry, because both render from the same serialized
-strings. Without a cache directory, lattices come from the process-wide
-pool ``elliptic.period_lattice`` and render from the computed basis, so
-documents can differ from a cached run's below 10^-digits.
+content-addressed cache: one JSON file per (g2, g3, digits, basis rule)
+key holding the serialized basis and a checksum, written atomically and
+revalidated against the Eisenstein series on every load. A cache hit
+prints the bytes of the run that wrote the entry, because both render from
+the same serialized strings. Without a cache directory, lattices come from
+the process-wide pool ``elliptic.period_lattice`` and render from the
+computed basis, so documents can differ from a cached run's below
+10^-digits.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .elliptic import (
     PeriodLatticeData,
     PeriodValidationFailed,
     PoleAtInput,
+    _BASIS_RULE,
     _validate_basis,
     elliptic_log,
     is_torsion,
@@ -344,9 +346,16 @@ def _canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _cache_key(curve: EllipticCurve, digits: int) -> dict:
+    # an entry written under another basis rule holds a basis that passes
+    # revalidation and still differs from the computed one: never serve it
+    return {"g2": str(curve.g2), "g3": str(curve.g3), "digits": int(digits), "basis": _BASIS_RULE}
+
+
 @dataclasses.dataclass(frozen=True)
 class PeriodCacheEntry:
-    """One cached period basis, keyed by (g2, g3, digits) and checksummed.
+    """One cached period basis, keyed by (g2, g3, digits, basis rule) and
+    checksummed.
 
     The payload serializes the basis with GUARD_DIGITS extra decimal digits
     so a parse round trip stays below anything a verdict prints. Loading
@@ -367,11 +376,7 @@ class PeriodCacheEntry:
 
     @classmethod
     def build(cls, curve: EllipticCurve, lat: PeriodLatticeData, digits: int) -> "PeriodCacheEntry":
-        key = {
-            "g2": str(curve.g2),
-            "g3": str(curve.g3),
-            "digits": int(digits),
-        }
+        key = _cache_key(curve, digits)
         with mp.workdps(digits + GUARD_DIGITS):
             payload = {
                 "omega_alpha": {
@@ -461,7 +466,7 @@ class Session:
     def _load_or_compute(self, curve: EllipticCurve, ctx: PrecisionCtx) -> PeriodLatticeData:
         if self.cfg.cache_dir is None:
             return period_lattice(curve, ctx)
-        key = {"g2": str(curve.g2), "g3": str(curve.g3), "digits": ctx.digits}
+        key = _cache_key(curve, ctx.digits)
         path = _cache_path(self.cfg.cache_dir, key)
         if path.exists():
             try:
@@ -754,24 +759,12 @@ def _loop_from(args: dict, ctx: PrecisionCtx, radius=None) -> CircleAround:
                 raise SchemaError("inputs.center.root_of", "expected a polynomial in t")
             if len(poly.numerator) < 2:
                 raise SchemaError("inputs.center.root_of", "expected a nonconstant polynomial")
-            # a multiple root stalls Newton's method, so both root finders run
-            # on the squarefree part: p / p' in lowest terms has the numerator
-            # p / gcd(p, p'), with the same roots as p, each simple
+            # p / p' in lowest terms has the numerator p / gcd(p, p'), with the
+            # same roots as p, each simple, so that a multiple root costs no
+            # doubled-precision retry in the root finder
             part = RationalFunc(poly.numerator, poly.derivative().numerator).numerator
-            if len(part) < len(poly.numerator):
-                poly = RationalFunc(part)
             seed = _complex_from(_need(center_doc, "near", "inputs.center"), "inputs.center.near")
-            center = mp.findroot(poly.eval_mpc, seed)
-            # Newton's method can leave the nearest root's basin: refuse a seed
-            # that another root lies nearer to than the one found
-            coeffs = [_frac_mpf(c) for c in poly.numerator]
-            nearest = min(poly_roots(coeffs, ctx), key=lambda x: abs(x - seed))
-            if abs(nearest - seed) < abs(center - seed) - ctx.tol:
-                raise SchemaError(
-                    "inputs.center.near",
-                    f"the root found from it, {mp.nstr(center, 12)}, is not the nearest "
-                    f"root, {mp.nstr(nearest, 12)}; give a seed closer to the root meant",
-                )
+            center = min(poly_roots(part, ctx), key=lambda x: abs(x - seed))
         else:
             center = _complex_from(center_doc, "inputs.center")
         if radius is None:

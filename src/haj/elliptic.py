@@ -6,6 +6,12 @@ Curve model is y^2 = 4x^3 - g2*x - g3 throughout (so the invariant
 differential is dx/y). A curve in short form y^2 = x^3 + ax + b is passed
 as g2 = -4a, g3 = -4b, the substitution (x, y) -> (x, 2y).
 
+Each curve has one period basis, the same at every precision:
+``compute_periods`` labels the cubic's roots by one rule and runs the AGM
+once, since with the optimal complex AGM any labeling gives periods
+(Cremona and Thongjunthug, J. Number Theory 133, 2013), and
+``_gauss_reduce`` breaks its ties by rule rather than by rounding.
+
 A period lattice depends only on the curve and the digits, so
 ``period_lattice`` keeps one per (curve, digits) for the life of the
 process, and the cubic's roots are memoized the same way. The pool is per
@@ -22,7 +28,7 @@ from typing import Optional, Tuple, Union
 
 import mpmath as mp
 
-from .numkernel import GUARD_DIGITS, NumKernelError, PrecisionCtx, agm
+from .numkernel import GUARD_DIGITS, PrecisionCtx, agm, poly_roots
 
 __all__ = [
     "EllipticError",
@@ -63,7 +69,7 @@ class InversionMismatch(EllipticError):
 
 
 class PeriodValidationFailed(EllipticError):
-    """No period basis candidate passed the Eisenstein reconstruction check."""
+    """The labeled period basis failed the Eisenstein reconstruction check."""
 
 
 RationalLike = Union[int, Fraction]
@@ -290,12 +296,7 @@ class PeriodLatticeData:
 
 @functools.lru_cache(maxsize=256)
 def _cubic_roots(curve: EllipticCurve, ctx: PrecisionCtx) -> tuple:
-    with ctx.work():
-        return tuple(mp.polyroots(
-            [mp.mpf(4), mp.mpf(0), -_to_mpf(curve.g2), -_to_mpf(curve.g3)],
-            maxsteps=200,
-            extraprec=60,
-        ))
+    return tuple(poly_roots((-curve.g3, -curve.g2, 0, 4), ctx))
 
 
 def eisenstein_invariants(omega_alpha, omega_beta, ctx: PrecisionCtx) -> Tuple[mp.mpc, mp.mpc]:
@@ -335,53 +336,41 @@ def _validate_basis(curve: EllipticCurve, wa, wb, ctx: PrecisionCtx) -> bool:
         return bool(ok2 and ok3)
 
 
-def compute_periods(curve: EllipticCurve, ctx: PrecisionCtx) -> PeriodLatticeData:
-    """Period basis by AGM on the cubic's root data.
+# the rule of compute_periods by name, which period cache keys carry
+_BASIS_RULE = "labeled-roots, gauss-reduced in [-1/2, 1/2)"
 
-    Three real roots e1 > e2 > e3 give the textbook real pair
-    omega_alpha = pi/agm(sqrt(e1-e3), sqrt(e1-e2)) (real period) and
-    omega_beta = i*pi/agm(sqrt(e1-e3), sqrt(e2-e3)). A complex-conjugate root
-    pair goes through the same formulas over candidate root labelings, and
-    the returned basis is the Gauss-reduced one passing the Eisenstein
-    reconstruction check.
+
+def compute_periods(curve: EllipticCurve, ctx: PrecisionCtx) -> PeriodLatticeData:
+    """Period basis by the AGM on one labeling of the cubic's roots.
+
+    Roots are labeled e1 > e2 > e3 when all three are real, else (the real
+    root, the root with Im > 0, its conjugate); any labeling gives periods
+    with ``numkernel.agm`` (Cremona and Thongjunthug, 2013), so none is
+    searched. omega_alpha = pi/agm(sqrt(e1-e3), sqrt(e1-e2)) and
+    omega_beta = +-i*pi/agm(sqrt(e1-e3), sqrt(e2-e3)), signed so that
+    Im(tau) > 0, must pass the Eisenstein reconstruction check or
+    PeriodValidationFailed is raised. Three real roots give the real pair
+    as it is; otherwise the basis is Gauss-reduced. The basis is a function
+    of the curve, so it does not depend on the digits.
     """
     with ctx.work():
         roots = _cubic_roots(curve, ctx)
-        real_tol = mp.power(10, -(ctx.digits // 2))
-        scale = max(1, max(abs(r) for r in roots))
-        all_real = all(abs(r.imag) <= real_tol * scale for r in roots)
-        if all_real:
-            es = sorted((r.real for r in roots), reverse=True)
-            e1, e2, e3 = (mp.mpf(e) for e in es)
-            wa = mp.pi / agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2), ctx)
-            wb = 1j * mp.pi / agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3), ctx)
-            if not _validate_basis(curve, wa, wb, ctx):
-                raise PeriodValidationFailed(
-                    f"real-root basis failed Eisenstein validation for {curve}"
-                )
-            return PeriodLatticeData(curve, wa, wb, ctx.digits)
-
-        # one real root and a conjugate pair: search labelings, validate each
-        import itertools
-
-        ordered = sorted(roots, key=lambda r: (-r.real, -abs(r.imag)))
-        for perm in itertools.permutations(range(3)):
-            e1, e2, e3 = (mp.mpc(ordered[i]) for i in perm)
-            try:
-                wa = mp.pi / agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2), ctx)
-                wb = 1j * mp.pi / agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3), ctx)
-            except (NumKernelError, ZeroDivisionError):
-                continue
-            for flip in (1, -1):
-                cand_b = wb * flip
-                tau = cand_b / wa
-                if not tau.imag > 0:
-                    continue
-                if not _validate_basis(curve, wa, cand_b, ctx):
-                    continue
-                wa_r, wb_r = _gauss_reduce(wa, cand_b, ctx)
-                return PeriodLatticeData(curve, wa_r, wb_r, ctx.digits)
-        raise PeriodValidationFailed(f"no root labeling validated for {curve}")
+        three_real = curve.discriminant() > 0
+        if three_real:
+            e1, e2, e3 = sorted((mp.re(r) for r in roots), reverse=True)
+        else:
+            e1 = mp.re(min(roots, key=lambda r: abs(mp.im(r))))
+            e2 = mp.mpc(max(roots, key=mp.im))
+            e3 = mp.conj(e2)
+        wa = mp.pi / agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2), ctx)
+        wb = 1j * mp.pi / agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3), ctx)
+        if (wb / wa).imag < 0:
+            wb = -wb
+        if not _validate_basis(curve, wa, wb, ctx):
+            raise PeriodValidationFailed(f"labeled basis failed Eisenstein validation for {curve}")
+        if not three_real:
+            wa, wb = _gauss_reduce(wa, wb, ctx)
+        return PeriodLatticeData(curve, wa, wb, ctx.digits)
 
 
 @functools.lru_cache(maxsize=256)
@@ -397,19 +386,26 @@ def period_lattice(curve: EllipticCurve, ctx: PrecisionCtx) -> PeriodLatticeData
 
 
 def _gauss_reduce(w1, w2, ctx: PrecisionCtx) -> Tuple[mp.mpc, mp.mpc]:
+    """Reduced basis with Im(w2/w1) > 0, |w1| <= |w2| and Re(w2/w1) in
+    [-1/2, 1/2), the half-open box of ``PeriodLatticeData.reduce``.
+
+    Both ties are broken by rule, not rounding: the projection is snapped
+    within tol, so exactly +-1/2 lands on -1/2, and w1 and w2 swap only when
+    |w2| < |w1|*(1 - tol). The result does not depend on the digits.
+    """
     with ctx.work():
         w1 = mp.mpc(w1)
         w2 = mp.mpc(w2)
-        for _ in range(8 * ctx.digits):
-            proj = (w2 * mp.conj(w1)).real / abs(w1) ** 2
-            n = mp.nint(proj)
-            w2 = w2 - n * w1
-            if abs(w2) < abs(w1):
-                w1, w2 = w2, w1
-            else:
-                break
         if (w2 / w1).imag < 0:
             w2 = -w2
+        half = mp.mpf(1) / 2 + ctx.tol
+        for _ in range(8 * ctx.digits):
+            proj = (w2 * mp.conj(w1)).real / abs(w1) ** 2
+            w2 = w2 - mp.floor(proj + half) * w1
+            if not abs(w2) < abs(w1) * (1 - ctx.tol):
+                break
+            # (w2, -w1) keeps the orientation
+            w1, w2 = w2, -w1
         return w1, w2
 
 

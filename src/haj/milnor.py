@@ -855,10 +855,10 @@ def _enclosed(
     irreducible factor with a root inside, its minimal polynomial mapped
     to those roots; and the distance ratio of the root nearest the
     circle, min max(d/r, r/d) over the roots at distance d > 0 from the
-    center (infinite when there is none). Each root finder call sees one
-    irreducible factor, so simple roots only. A root within
-    sqrt(tol) * radius of the circle raises CutGrazing: the loop passes
-    through a zero or pole to working precision.
+    center (infinite when there is none). A linear factor gives its root
+    exactly; each root finder call sees one irreducible factor, so simple
+    roots only. A root within sqrt(tol) * radius of the circle raises
+    CutGrazing: the loop passes through a zero or pole to working precision.
     """
     center, radius = mp.mpc(loop.center), mp.mpf(loop.radius)
     edge = mp.sqrt(ctx.tol) * radius
@@ -866,7 +866,10 @@ def _enclosed(
     for factor, mult in _monic_factors(coeffs)[1]:
         minpoly = _coeffs(factor)
         inside = []
-        for root in poly_roots(minpoly, ctx):
+        # t + c0 has the root -c0 exactly
+        roots = ([-mp.mpf(minpoly[0].numerator) / minpoly[0].denominator] if len(minpoly) == 2
+                 else poly_roots(minpoly, ctx))
+        for root in roots:
             distance = abs(root - center)
             if abs(distance - radius) <= edge:
                 raise CutGrazing(

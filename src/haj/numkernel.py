@@ -411,18 +411,19 @@ def _aberth_seeds(coeffs: Sequence) -> Optional[list]:
 def poly_roots(coeffs: Sequence, ctx: PrecisionCtx) -> list:
     """All complex roots of sum(coeffs[k] * w^k), constant term first.
 
-    The leading coefficient must be nonzero. The roots are seeded in double
-    precision by :func:`_aberth_seeds` and polished by mpmath's Durand-Kerner
-    at the working precision with 60 extra bits, under its own gate: every
-    root's last correction below the working epsilon. From double seeds the
-    polish converges quadratically on simple roots in a few sweeps, each
-    O(n^2) divisions (on a 2-vCPU VM, degree 8 at 64 digits: about 7 ms,
-    against 30 ms from mpmath's default start). Without seeds it starts
-    from that default. A double root converges linearly, about one step per
-    bit, and only at doubled precision, which a single retry supplies.
-    Raises TangencySuspected when the root finder does not converge even
-    then. The roots come sorted by (|Im|, Re) read on a grid of tol, so
-    their order does not depend on the start.
+    The leading coefficient must be nonzero; int and Fraction coefficients
+    are converted at the precision of the polish. The roots are seeded in
+    double precision by :func:`_aberth_seeds` and polished by mpmath's
+    Durand-Kerner at the working precision with 60 extra bits, under its
+    own gate: every root's last correction below the working epsilon. From
+    double seeds the polish converges quadratically on simple roots in a
+    few sweeps, each O(n^2) divisions (on a 2-vCPU VM, degree 8 at 64
+    digits: about 7 ms, against 30 ms from mpmath's default start). Without
+    seeds it starts from that default. A double root converges linearly,
+    about one step per bit, and only at doubled precision, which a single
+    retry supplies. Raises TangencySuspected when the root finder does not
+    converge even then. The roots come sorted by (|Im|, Re) read on a grid
+    of tol, so their order does not depend on the start.
     """
     high_first = list(reversed(coeffs))
     steps = 50 + 4 * len(coeffs)
@@ -431,9 +432,13 @@ def poly_roots(coeffs: Sequence, ctx: PrecisionCtx) -> list:
         prec = mp.mp.prec
         start = None if seeds is None else [mp.mpc(z) for z in seeds]
         for extra, limit in ((60, steps), (prec + 60, steps + prec)):
+            # mp.polyroots converts the coefficients itself only when the
+            # leading one is 1, and otherwise divides them by it as they are
+            with mp.extraprec(extra):
+                converted = [mp.mpmathify(c) for c in high_first]
             try:
                 roots = mp.polyroots(
-                    high_first, maxsteps=limit, extraprec=extra, roots_init=start
+                    converted, maxsteps=limit, extraprec=extra, roots_init=start
                 )
             except mp.mp.NoConvergence:
                 continue

@@ -16,12 +16,15 @@ from haj.cli import (
     PeriodCacheEntry,
     RunConfig,
     SchemaError,
+    _cache_path,
     _loop_from,
     _pool_size,
     load_preset,
     main,
     render_doc,
+    run_op,
 )
+from haj.elliptic import _BASIS_RULE, EllipticCurve, PeriodLatticeData, compute_periods
 from haj.numkernel import PrecisionCtx
 
 
@@ -211,24 +214,36 @@ def test_loop_near_a_zero_answers_where_quadrature_stalled(runner):
         assert abs(k - mp.nint(k)) < mp.mpf("1e-60")
 
 
-def test_root_of_center_refuses_a_seed_nearer_another_root(runner):
-    # Newton's method from 1.04 converges to 1.1, not to the nearer root 1
+def test_root_of_center_is_the_root_nearest_the_seed(runner):
+    # 1.04 lies nearer 1 than 11/10, and 1.06 nearer 11/10; a double root
+    # beside the seed does not change which root is nearest
+    ctx = PrecisionCtx(48)
     request = {"op": "milnor-reg", "config": {"digits": 48}, "f": "t - 1", "g": "t + 5",
-               "center": {"root_of": "(t-1)*(t-11/10)*(t+3)", "near": "1.04"},
                "radius": "1/100"}
-    result = runner.invoke(main, ["--stdio"], input=json.dumps(request) + "\n")
-    assert result.exit_code == 2
-    assert _stdio_lines(result)[0]["error"]["field"] == "inputs.center.near"
-    # a seed in the right basin still answers, also beside a double root
-    for root_of, near in (("(t-1)*(t-11/10)*(t+3)", "1.01"), ("(t-1)*(t-5)^2", "1.04")):
+    for root_of, near, root in (("(t-1)*(t-11/10)*(t+3)", "1.04", "1"),
+                                ("(t-1)*(t-11/10)*(t+3)", "1.06", "1.1"),
+                                ("(t-1)*(t-5)^2", "1.04", "1")):
         request["center"] = {"root_of": root_of, "near": near}
+        with ctx.work():
+            assert abs(_loop_from(request, ctx).center - mp.mpf(root)) < ctx.tol
         result = runner.invoke(main, ["--stdio"], input=json.dumps(request) + "\n")
         assert result.exit_code == 0
 
 
+def test_root_of_center_needs_no_newton_iteration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.findroot called")
+
+    monkeypatch.setattr(mp, "findroot", refuse)
+    args = {"f": "t - 1", "g": "t + 5", "radius": "1/100",
+            "center": {"root_of": "(t-1)*(t-11/10)*(t+3)", "near": "1.01"}}
+    doc, code, _ = run_op("milnor-reg", RunConfig.from_mapping({"digits": 48}), args)
+    assert code == 0 and "error" not in doc
+
+
 def test_root_of_center_on_a_double_root(runner):
-    # Newton's method and the nearest-root refusal run on the squarefree part
-    # (t - 1)(t + 3), so the double root at 1 is found from either seed
+    # the root finder runs on the squarefree part (t - 1)(t + 3), so the
+    # double root at 1 is found from either seed
     ctx = PrecisionCtx(48)
     request = {"op": "milnor-reg", "config": {"digits": 48}, "f": "t - 1", "g": "t + 5",
                "radius": "1/100"}
@@ -256,7 +271,7 @@ FROZEN = {
     ("paper-14", 128): "c61d3e23163c85631c49134a9086d3b772c59d7472f026abbad51efb546e2363",
     ("paper-16-rem3", 64): "1135a0dda8e39351645df4aa6d5ea409b5e4456756e81026b99a87d413bb0e07",
     ("paper-16-rem3", 128): "627f05022cedf09db089ce39c3c9ea8dd4f8725a2639c10dab573de3ef96e1a7",
-    ("paper-16-classify", 64): "17d91aaf390ec337ed6fd5002d92b981f56410da8261e14087bab251ec129898",
+    ("paper-16-classify", 64): "9b2691be0471dbf252a0e50aa301146a67b72889b90850841ba63e2cac3f6bdd",
     ("paper-16-classify", 128): "63ab43c276f85a75bac4340872ac750d56fdcf314296f00781db8d117f0d363f",
     ("paper-17", 48): "9c31a6926a89d3d8730f1c64c76d6aba547a671d5657f44ba24fe74013504c12",
     ("paper-17", 64): "751224001cc2f67b7b8fb9f0eb2a518001b59b6bcb5adbaea7444cf5f236f93d",
@@ -525,6 +540,20 @@ def test_chi3_input_file(runner, tmp_path):
     assert len(res["chi3"]["lattice_generators"]) == 8
 
 
+def test_chi2_member_on_a_rhombic_lattice_survives_amplification():
+    # (g2, g3) = (8, -16) has Re(tau) = -1/2 exactly; the doubled-precision
+    # recompute must see the same basis, or it rejects the planted member
+    args = {"source": {"g2": "8", "g3": "-16", "label": "E"},
+            "maps": [{"multiplier": 1, "translation": "0"},
+                     {"multiplier": 0, "target": {"g2": "13", "g3": "-9", "label": "F"},
+                      "translation": {"periods": ["2", "-1"]}}],
+            "method": "Both"}
+    doc, code, _ = run_op("chi2", RunConfig.from_mapping({"digits": 256}), args)
+    assert code == 0
+    assert doc["result"]["verdict"] == "Member"
+    assert doc["result"]["membership"]["amplified"] is True
+
+
 # ---------------------------------------------------------------------------
 # period cache
 # ---------------------------------------------------------------------------
@@ -554,7 +583,7 @@ def test_cache_entry_roundtrip_and_checksum(runner, tmp_path):
     path = next(cache.glob("periods-*.json"))
     entry = PeriodCacheEntry.from_json(json.loads(path.read_text()))
     assert entry.verify()
-    assert entry.key == {"g2": "8", "g3": "1", "digits": 48}
+    assert entry.key == {"g2": "8", "g3": "1", "digits": 48, "basis": _BASIS_RULE}
 
     # tampering breaks the checksum; the entry is rejected and rebuilt
     doc = entry.to_json()
@@ -563,6 +592,30 @@ def test_cache_entry_roundtrip_and_checksum(runner, tmp_path):
     rescued = invoke(runner, args)
     assert rescued.output == cold.output
     assert PeriodCacheEntry.from_json(json.loads(path.read_text())).verify()
+
+
+def test_cache_entry_without_the_basis_rule_is_never_served(runner, tmp_path):
+    # an entry keyed by (g2, g3, digits) alone may hold another basis of the
+    # same lattice, which passes revalidation; here (wa, wa + wb)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    curve, ctx = EllipticCurve(8, -16), PrecisionCtx(48)
+    lat = compute_periods(curve, ctx)
+    with ctx.work():
+        other = PeriodLatticeData(curve, lat.omega_alpha, lat.omega_alpha + lat.omega_beta, 48)
+    built = PeriodCacheEntry.build(curve, other, 48)
+    old_key = {k: v for k, v in built.key.items() if k != "basis"}
+    stale = PeriodCacheEntry(old_key, built.payload, PeriodCacheEntry._digest(old_key, built.payload))
+    assert stale.verify() and stale.revalidate(curve, ctx)
+    _cache_path(cache, old_key).write_text(json.dumps(stale.to_json()))
+
+    manifest = tmp_path / "run.json"
+    args = ["periods", "--g2", "8", "--g3", "-16", "--digits", "48"]
+    result = invoke(runner, args + ["--cache-dir", str(cache), "--manifest", str(manifest)])
+    events = json.loads(manifest.read_text())["cache_events"]
+    assert any(e.startswith("cache-write") for e in events)
+    assert not any(e.startswith("cache-hit") for e in events)
+    assert result.output == invoke(runner, args).output
 
 
 def test_manifest_carries_metadata_not_verdict(runner, tmp_path):

@@ -117,6 +117,51 @@ def test_eisenstein_reconstruction_suite():
                 assert abs(g3r - g3) < bound * max(1, abs(g3)), (g2, g3)
 
 
+def _one_real_root_curves(count: int, seed: int) -> list:
+    # seeded integer curves with g2^3 - 27*g3^2 < 0
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g2, g3 = rng.randint(-60, 60), rng.randint(-60, 60)
+        if g2**3 - 27 * g3**2 < 0:
+            out.append(EllipticCurve(g2, g3))
+    return out
+
+
+def test_one_real_root_basis_does_not_depend_on_the_digits():
+    # one labeling of the roots and both Gauss-reduction ties broken by rule:
+    # (8, -16) has Re(tau) = -1/2 exactly, and (0, 16) also |tau| = 1
+    pinned = [EllipticCurve(8, -16), EllipticCurve(0, 16)]
+    for curve in pinned + _one_real_root_curves(40, 19):
+        lats = [compute_periods(curve, PrecisionCtx(d)) for d in (64, 128, 256)]
+        with mp.workdps(80):
+            for lat in lats[:2]:
+                assert abs(lat.omega_alpha - lats[2].omega_alpha) < mp.mpf(10) ** -60, curve
+                assert abs(lat.omega_beta - lats[2].omega_beta) < mp.mpf(10) ** -60, curve
+    taus = [compute_periods(curve, CTX).tau for curve in pinned]
+    with CTX.work():
+        assert all(abs(tau.real + mp.mpf(1) / 2) < CTX.tol for tau in taus)
+        assert abs(abs(taus[1]) - 1) < CTX.tol
+
+
+def test_labeled_basis_validates_on_wide_curves():
+    # compute_periods validates its one labeled basis or raises
+    rng = random.Random(23)
+    ctx = PrecisionCtx(64)
+    checked = 0
+    while checked < 200:
+        g2, g3 = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+        if g2**3 == 27 * g3**2:
+            continue
+        lat = compute_periods(EllipticCurve(g2, g3), ctx)
+        with ctx.work():
+            assert lat.tau.imag > 0
+            if g2**3 < 27 * g3**2:
+                assert -mp.mpf(1) / 2 - ctx.tol <= lat.tau.real < mp.mpf(1) / 2
+                assert abs(lat.tau) > 1 - ctx.tol
+        checked += 1
+
+
 def test_weierstrass_half_period_values(lat_cm):
     with CTX.work():
         p1, _ = weierstrass_p(lat_cm.omega_alpha / 2, lat_cm, CTX)

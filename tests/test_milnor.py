@@ -446,6 +446,21 @@ def test_regulator_crossing_audit_refuses_a_lost_crossing(monkeypatch):
         regulator_eval((SHRINK_F, SHRINK_G), loop, CTX)
 
 
+def test_enclosed_linear_factor_needs_no_root_finder(monkeypatch):
+    # (3t - 1)(t^2 - 2): only the quadratic factor reaches poly_roots, and
+    # the root of t - 1/3 is 1/3 rounded once at the working precision
+    calls = []
+    real = milnor.poly_roots
+    monkeypatch.setattr(milnor, "poly_roots", lambda c, ctx: calls.append(c) or real(c, ctx))
+    ctx = PrecisionCtx(48)
+    coeffs = tuple(Fraction(c) for c in (2, -6, -1, 3))
+    with ctx.work():
+        loop = CircleAround(mp.mpf(1) / 3, mp.mpf(1) / 10)
+        count, places, _ = milnor._enclosed(coeffs, loop, ctx)
+        assert count == 1 and places == {(Fraction(-1, 3), Fraction(1)): [mp.mpf(1) / 3]}
+    assert calls == [(Fraction(-2), Fraction(0), Fraction(1))]
+
+
 def test_regulator_degree_cap_refuses_before_root_finding():
     with CTX.work():
         loop = CircleAround(mp.mpf(1) / 10, 1)

@@ -403,6 +403,13 @@ def test_roots_beyond_double_range(monkeypatch):
         assert abs(roots[0] - 2) < CTX.tol and abs(roots[1] - 3) < CTX.tol
 
 
+def test_non_monic_exact_coefficients():
+    # -2*10^400 + 10^400 * w^2: Fractions beyond double range, leading one not 1
+    roots = poly_roots((Fraction(-2 * 10**400), 0, Fraction(10**400)), CTX)
+    with CTX.work():
+        assert abs(roots[0] + mp.sqrt(2)) < CTX.tol and abs(roots[1] - mp.sqrt(2)) < CTX.tol
+
+
 def test_double_root_converges_through_the_retry(monkeypatch):
     # (w - 1)^2 (w + 2): the seeded polish stalls at 60 extra bits and the
     # doubled-precision retry converges
