@@ -22,13 +22,13 @@ pool without reordering the responses.
 
 Period lattices are the one expensive shared input, so they get a small
 content-addressed cache: one JSON file per (g2, g3, digits, basis rule)
-key holding the serialized basis and a checksum, written atomically and
-revalidated against the Eisenstein series on every load. A cache hit
-prints the bytes of the run that wrote the entry, because both render from
-the same serialized strings. Without a cache directory, lattices come from
-the process-wide pool ``elliptic.period_lattice`` and render from the
-computed basis, so documents can differ from a cached run's below
-10^-digits.
+key holding the basis exactly (the binary mantissa and exponent of each
+real and imaginary part) and a checksum, written atomically and
+revalidated against the Eisenstein series on every load. A hit rebuilds
+the computed basis bit for bit, so the cache is byte-transparent: a run
+with a cache directory, on a write or on a hit, prints the bytes of a run
+without one, whose lattices come from the process-wide pool
+``elliptic.period_lattice``.
 """
 
 from __future__ import annotations
@@ -47,16 +47,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import click
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from . import __version__
 from .numkernel import (
-    GUARD_DIGITS,
     CircleAround,
     NonConvergence,
     NumKernelError,
     PrecisionCtx,
     QuadratureStall,
     TangencySuspected,
+    _to_mpf,
     complex_to_json,
     poly_roots,
 )
@@ -289,12 +290,8 @@ def _gauss_from(v, path: str) -> Tuple[Fraction, Fraction]:
     return _as_frac(v, path), Fraction(0)
 
 
-def _frac_mpf(q: Fraction) -> mp.mpf:
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
-
-
 def _gauss_mpc(pair: Tuple[Fraction, Fraction]) -> mp.mpc:
-    return mp.mpc(_frac_mpf(pair[0]), _frac_mpf(pair[1]))
+    return mp.mpc(_to_mpf(pair[0]), _to_mpf(pair[1]))
 
 
 def _decimal_from(v, path: str):
@@ -314,7 +311,7 @@ def _complex_from(v, path: str) -> mp.mpc:
         return mp.mpc(re, im)
     if isinstance(v, (int, str)):
         try:
-            return mp.mpc(_frac_mpf(Fraction(v)))
+            return mp.mpc(_to_mpf(Fraction(v)))
         except (ValueError, ZeroDivisionError):
             return mp.mpc(_decimal_from(v, path))
     raise SchemaError(path, "expected a number, 'a/b', or {re, im}")
@@ -352,15 +349,32 @@ def _cache_key(curve: EllipticCurve, digits: int) -> dict:
     return {"g2": str(curve.g2), "g3": str(curve.g3), "digits": int(digits), "basis": _BASIS_RULE}
 
 
+def _man_exp(x: mp.mpf) -> list:
+    sign, man, exp, _ = x._mpf_
+    return [-man if sign else man, exp]
+
+
+def _exact_mpf(pair) -> mp.mpf:
+    man, exp = pair
+    if type(man) is not int or type(exp) is not int:
+        raise ValueError("expected an integer mantissa and exponent")
+    return mp.make_mpf(from_man_exp(man, exp))
+
+
+_BASIS_NAMES = ("omega_alpha", "omega_beta")
+
+
 @dataclasses.dataclass(frozen=True)
 class PeriodCacheEntry:
     """One cached period basis, keyed by (g2, g3, digits, basis rule) and
     checksummed.
 
-    The payload serializes the basis with GUARD_DIGITS extra decimal digits
-    so a parse round trip stays below anything a verdict prints. Loading
-    verifies the checksum and recomputes the Eisenstein invariants from the
-    stored basis; a stale or corrupted entry is discarded, never trusted.
+    The payload holds each real and imaginary part of the basis as its
+    signed binary mantissa and exponent, so loading rebuilds the computed
+    basis bit for bit. Loading verifies the checksum and recomputes the
+    Eisenstein invariants from the stored basis; a stale, corrupted or
+    differently encoded entry (such as a decimal one) is discarded, never
+    trusted.
     """
 
     key: dict
@@ -377,17 +391,10 @@ class PeriodCacheEntry:
     @classmethod
     def build(cls, curve: EllipticCurve, lat: PeriodLatticeData, digits: int) -> "PeriodCacheEntry":
         key = _cache_key(curve, digits)
-        with mp.workdps(digits + GUARD_DIGITS):
-            payload = {
-                "omega_alpha": {
-                    "re": mp.nstr(lat.omega_alpha.real, digits + GUARD_DIGITS),
-                    "im": mp.nstr(lat.omega_alpha.imag, digits + GUARD_DIGITS),
-                },
-                "omega_beta": {
-                    "re": mp.nstr(lat.omega_beta.real, digits + GUARD_DIGITS),
-                    "im": mp.nstr(lat.omega_beta.imag, digits + GUARD_DIGITS),
-                },
-            }
+        payload = {
+            name: {"re": _man_exp(w.real), "im": _man_exp(w.imag)}
+            for name, w in zip(_BASIS_NAMES, (lat.omega_alpha, lat.omega_beta))
+        }
         return cls(key=key, payload=payload, checksum=cls._digest(key, payload))
 
     @classmethod
@@ -402,15 +409,17 @@ class PeriodCacheEntry:
 
     def lattice(self, curve: EllipticCurve, ctx: PrecisionCtx) -> PeriodLatticeData:
         with ctx.work():
-            wa = mp.mpc(mp.mpf(self.payload["omega_alpha"]["re"]), mp.mpf(self.payload["omega_alpha"]["im"]))
-            wb = mp.mpc(mp.mpf(self.payload["omega_beta"]["re"]), mp.mpf(self.payload["omega_beta"]["im"]))
+            wa, wb = (
+                mp.mpc(_exact_mpf(self.payload[name]["re"]), _exact_mpf(self.payload[name]["im"]))
+                for name in _BASIS_NAMES
+            )
             return PeriodLatticeData(curve, wa, wb, ctx.digits)
 
     def revalidate(self, curve: EllipticCurve, ctx: PrecisionCtx) -> bool:
         """Recompute g2, g3 from the stored basis: the check compute_periods runs."""
         try:
             lat = self.lattice(curve, ctx)
-        except ValueError:
+        except (KeyError, TypeError, ValueError):
             return False
         return _validate_basis(curve, lat.omega_alpha, lat.omega_beta, ctx)
 
@@ -443,11 +452,10 @@ class Session:
     """Per-run lattice pool: memoizes period bases and tracks cache events.
 
     The memo exists for the cache path's events: with a cache directory, a
-    request records one cache event per (g2, g3, digits) it touches, and
-    rendering always goes through the serialized entry, so a hit prints the
-    bytes of the run that wrote the entry. The process-wide pool lives in
-    ``elliptic.period_lattice``; without a cache directory the lattice
-    comes from there, and so does a cache miss.
+    request records one cache event per (g2, g3, digits) it touches. The
+    process-wide pool lives in ``elliptic.period_lattice``; without a cache
+    directory the lattice comes from there, and so does a cache miss, which
+    returns the computed lattice as it writes the entry.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -471,7 +479,7 @@ class Session:
         if path.exists():
             try:
                 entry = PeriodCacheEntry.from_json(json.loads(path.read_text()))
-            except (KeyError, TypeError, json.JSONDecodeError):
+            except (KeyError, TypeError, ValueError):
                 entry = None
             if entry is not None and entry.key == key and entry.verify() and entry.revalidate(curve, ctx):
                 self.events.append(f"cache-hit {path.name}")
@@ -481,8 +489,7 @@ class Session:
         entry = PeriodCacheEntry.build(curve, lat, ctx.digits)
         _atomic_write_json(path, entry.to_json())
         self.events.append(f"cache-write {path.name}")
-        # render from the serialized strings, exactly as a later hit will
-        return entry.lattice(curve, ctx)
+        return lat
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +519,7 @@ def _translation_from(doc, curve: EllipticCurve, lat: PeriodLatticeData,
     if doc is None:
         return mp.mpc(0)
     if isinstance(doc, (int, str)):
-        return mp.mpc(_frac_mpf(_as_frac(doc, path)))
+        return mp.mpc(_to_mpf(_as_frac(doc, path)))
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected a rational, a point, periods, or re/im")
     if "point" in doc:
@@ -750,7 +757,7 @@ def op_psi2(args: dict, cfg: RunConfig, session: Session) -> dict:
     }
 
 
-def _loop_from(args: dict, ctx: PrecisionCtx, radius=None) -> CircleAround:
+def _center_from(args: dict, ctx: PrecisionCtx) -> mp.mpc:
     center_doc = _need(args, "center", "inputs")
     with ctx.work():
         if isinstance(center_doc, dict) and "root_of" in center_doc:
@@ -764,18 +771,24 @@ def _loop_from(args: dict, ctx: PrecisionCtx, radius=None) -> CircleAround:
             # doubled-precision retry in the root finder
             part = RationalFunc(poly.numerator, poly.derivative().numerator).numerator
             seed = _complex_from(_need(center_doc, "near", "inputs.center"), "inputs.center.near")
-            center = min(poly_roots(part, ctx), key=lambda x: abs(x - seed))
-        else:
-            center = _complex_from(center_doc, "inputs.center")
-        if radius is None:
-            radius = _as_frac(_need(args, "radius", "inputs"), "inputs.radius")
-        r = _frac_mpf(radius)
-        if not r > 0:
-            raise SchemaError("inputs.radius", "must be positive")
+            return min(poly_roots(part, ctx), key=lambda x: abs(x - seed))
+        return _complex_from(center_doc, "inputs.center")
+
+
+def _circle(args: dict, center: mp.mpc, radius: Fraction, ctx: PrecisionCtx) -> CircleAround:
+    if not radius > 0:
+        raise SchemaError("inputs.radius", "must be positive")
     orientation = args.get("orientation", 1)
     if orientation not in (1, -1):
         raise SchemaError("inputs.orientation", "expected 1 or -1")
-    return CircleAround(center, r, orientation)
+    with ctx.work():
+        return CircleAround(center, _to_mpf(radius), orientation)
+
+
+def _loop_from(args: dict, ctx: PrecisionCtx) -> CircleAround:
+    center = _center_from(args, ctx)
+    radius = _as_frac(_need(args, "radius", "inputs"), "inputs.radius")
+    return _circle(args, center, radius, ctx)
 
 
 def _symbol_pairs_from(args: dict) -> MilnorSymbolSum:
@@ -807,17 +820,17 @@ def op_milnor_reg(args: dict, cfg: RunConfig, session: Session) -> dict:
         if not isinstance(radii_doc, list) or not radii_doc:
             raise SchemaError("inputs.radii", "expected a nonempty list of radii")
         g = _rf_from(_need(args, "g", "inputs"), "inputs.g")
+        radii = [_as_frac(rdoc, f"inputs.radii[{i}]") for i, rdoc in enumerate(radii_doc)]
+        center = _center_from(args, ctx)
         loops = []
         worst_ok = True
-        for i, rdoc in enumerate(radii_doc):
-            radius = _as_frac(rdoc, f"inputs.radii[{i}]")
-            loop = _loop_from(args, ctx, radius=radius)
+        for radius in radii:
+            loop = _circle(args, center, radius, ctx)
             rv = regulator_eval(symbol, loop, ctx, max_den=cfg.max_den, max_height=cfg.max_height)
             with ctx.work():
-                x0 = loop.center
-                target = 2j * mp.pi * mp.log(g.eval_mpc(x0))
+                target = 2j * mp.pi * mp.log(g.eval_mpc(center))
                 defect, q = indeterminacy_defect(rv.value + target, ctx)
-                r = _frac_mpf(radius)
+                r = loop.radius
                 envelope = r * abs(mp.log(r))
                 within = bool(defect <= envelope)
             worst_ok = worst_ok and within
@@ -1020,20 +1033,28 @@ _OPS: Dict[str, Callable[[dict, RunConfig, Session], dict]] = {
 # ---------------------------------------------------------------------------
 
 
+def _error_doc(command: Optional[str], exc: BaseException) -> dict:
+    """The document of a failed request: a schema error names its field, an
+    evaluator failure its type and remediation hint."""
+    if isinstance(exc, SchemaError):
+        error = {"type": "schema", "field": exc.path, "message": exc.message}
+    else:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        hint = _hint_for(exc)
+        if hint is not None:
+            error["hint"] = hint
+    doc = {"schema": SCHEMA}
+    if command is not None:
+        doc["command"] = command
+    doc["error"] = error
+    return doc
+
+
 def run_op(command: str, cfg: RunConfig, args: dict, session: Optional[Session] = None):
     """Run one operation; returns (document, exit_code, session)."""
     session = session or Session(cfg)
     if command not in _OPS:
-        doc = {
-            "schema": SCHEMA,
-            "command": command,
-            "error": {
-                "type": "schema",
-                "field": "op",
-                "message": f"unknown operation {command!r}",
-            },
-        }
-        return doc, 2, session
+        return _error_doc(command, SchemaError("op", f"unknown operation {command!r}")), 2, session
     try:
         result = _OPS[command](args, cfg, session)
         doc = {
@@ -1045,19 +1066,9 @@ def run_op(command: str, cfg: RunConfig, args: dict, session: Optional[Session] 
         }
         return doc, 0, session
     except SchemaError as exc:
-        doc = {
-            "schema": SCHEMA,
-            "command": command,
-            "error": {"type": "schema", "field": exc.path, "message": exc.message},
-        }
-        return doc, 2, session
+        return _error_doc(command, exc), 2, session
     except _MODULE_ERRORS as exc:
-        err = {"type": type(exc).__name__, "message": str(exc)}
-        hint = _hint_for(exc)
-        if hint is not None:
-            err["hint"] = hint
-        doc = {"schema": SCHEMA, "command": command, "error": err}
-        return doc, 1, session
+        return _error_doc(command, exc), 1, session
 
 
 def _text_lines(doc, prefix: str = "") -> List[str]:
@@ -1148,11 +1159,7 @@ def _finish(command: str, cfg_kwargs: dict, args_builder: Callable[[], dict]) ->
         cfg = RunConfig(**cfg_kwargs)
         args = args_builder()
     except SchemaError as exc:
-        doc = {
-            "schema": SCHEMA,
-            "command": command,
-            "error": {"type": "schema", "field": exc.path, "message": exc.message},
-        }
+        doc = _error_doc(command, exc)
         code = 2
         fmt = cfg_kwargs.get("output_format", "json")
         fmt = fmt if fmt in ("json", "text") else "json"
@@ -1175,20 +1182,12 @@ def _finish(command: str, cfg_kwargs: dict, args_builder: Callable[[], dict]) ->
 
 def _stdio_one(line: str) -> Tuple[str, int]:
     try:
-        req = json.loads(line)
-    except json.JSONDecodeError as exc:
-        doc = {
-            "schema": SCHEMA,
-            "error": {"type": "schema", "field": "request", "message": f"invalid JSON: {exc}"},
-        }
-        return _canonical_json(doc) + "\n", 2
-    if not isinstance(req, dict):
-        doc = {
-            "schema": SCHEMA,
-            "error": {"type": "schema", "field": "request", "message": "expected an object"},
-        }
-        return _canonical_json(doc) + "\n", 2
-    try:
+        try:
+            req = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("request", f"invalid JSON: {exc}") from None
+        if not isinstance(req, dict):
+            raise SchemaError("request", "expected an object")
         preset = req.pop("preset", None)
         if preset is not None:
             base = load_preset(preset)
@@ -1200,11 +1199,7 @@ def _stdio_one(line: str) -> Tuple[str, int]:
             raise SchemaError("op", "missing operation name")
         cfg = RunConfig.from_mapping(req.pop("config", {}) or {})
     except SchemaError as exc:
-        doc = {
-            "schema": SCHEMA,
-            "error": {"type": "schema", "field": exc.path, "message": exc.message},
-        }
-        return _canonical_json(doc) + "\n", 2
+        return _canonical_json(_error_doc(None, exc)) + "\n", 2
     doc, code, _ = run_op(op, cfg, req)
     return _canonical_json(doc) + "\n", code
 

@@ -30,7 +30,7 @@ from .elliptic import (
     period_lattice,
     point_neg,
 )
-from .numkernel import BigComplex, NumKernelError, PrecisionCtx
+from .numkernel import BigComplex, NumKernelError, PrecisionCtx, _to_mpf
 from .relations import LatticeMembership, lattice_membership
 
 __all__ = [
@@ -363,7 +363,7 @@ def aj_on_elliptic(
         for (sym,), c in Z.terms:
             pt = _resolve_point(sym)
             lg = elliptic_log(pt, ref.curve, lattice, ctx)
-            total += mp.mpf(c.numerator) / c.denominator * lg
+            total += _to_mpf(c) * lg
         return lattice.reduce(total), lattice
 
 

@@ -28,7 +28,7 @@ from typing import Optional, Tuple, Union
 
 import mpmath as mp
 
-from .numkernel import GUARD_DIGITS, PrecisionCtx, agm, poly_roots
+from .numkernel import GUARD_DIGITS, PrecisionCtx, _to_mpf, agm, poly_roots
 
 __all__ = [
     "EllipticError",
@@ -132,10 +132,6 @@ class EllipticCurve:
             g2=Fraction(doc["g2"]), g3=Fraction(doc["g3"]),
             label=doc.get("label", ""),
         )
-
-
-def _to_mpf(q: Fraction) -> mp.mpf:
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -546,9 +542,7 @@ def _coerce_pair(p: CurvePoint, q: CurvePoint):
     if p.is_exact() and q.is_exact():
         return p.x, p.y, q.x, q.y, True
     def lift(v):
-        if isinstance(v, Fraction):
-            return mp.mpf(v.numerator) / mp.mpf(v.denominator)
-        return mp.mpc(v)
+        return _to_mpf(v) if isinstance(v, Fraction) else mp.mpc(v)
     return lift(p.x), lift(p.y), lift(q.x), lift(q.y), False
 
 

@@ -60,6 +60,7 @@ from .numkernel import (
     GUARD_DIGITS,
     NumKernelError,
     PrecisionCtx,
+    _to_mpf,
     complex_to_json,
 )
 from .relations import (
@@ -340,10 +341,6 @@ def _offset_pair(path_offset) -> Tuple[Fraction, Fraction]:
     return eps, delta
 
 
-def _frac_mpf(q: Fraction) -> mp.mpf:
-    return mp.mpf(q.numerator) / q.denominator
-
-
 # Crossings allowed per cut and loop.
 _MAX_CROSSINGS = 1024
 
@@ -447,7 +444,7 @@ def _closed_values(spread: BoxSpreadCycle, eps: Fraction, delta: Fraction, ctx: 
     map1, map2 = spread.maps
     lat = spread.source_lattice
     A, B = lat.omega_alpha, lat.omega_beta
-    e, d = _frac_mpf(eps), _frac_mpf(delta)
+    e, d = _to_mpf(eps), _to_mpf(delta)
     m2, c2 = map2.mult_mpc(), mp.mpc(map2.translation)
     if map2.is_constant:
         return A * c2, B * c2
@@ -484,7 +481,7 @@ def chi2_box(
 
     with ctx.work():
         lat = spread.source_lattice
-        z0 = _frac_mpf(eps) * lat.omega_alpha + _frac_mpf(delta) * lat.omega_beta
+        z0 = _to_mpf(eps) * lat.omega_alpha + _to_mpf(delta) * lat.omega_beta
         gens = _pair_product_gens(spread.maps[0].target_lattice, spread.maps[1].target_lattice)
 
         path_vals = closed_vals = None
@@ -535,7 +532,7 @@ def chi2_reduce(
     """
     s = Fraction(scale)
     with ctx.work():
-        factor = _frac_mpf(s)
+        factor = _to_mpf(s)
         v = [factor * mp.mpc(value.value_alpha), factor * mp.mpc(value.value_beta)]
         gens = [list(g) for g in value.lattice_gens]
 
@@ -544,7 +541,7 @@ def chi2_reduce(
         def wrapped(ctx2: PrecisionCtx):
             fresh = recompute(ctx2)
             with ctx2.work():
-                f2 = _frac_mpf(s)
+                f2 = _to_mpf(s)
                 return (
                     [f2 * mp.mpc(fresh.value_alpha), f2 * mp.mpc(fresh.value_beta)],
                     [list(g) for g in fresh.lattice_gens],
@@ -897,8 +894,8 @@ def chi3_box(
     with ctx.work():
         lat = spread.source_lattice
         A, B = lat.omega_alpha, lat.omega_beta
-        z01 = _frac_mpf(e1) * A + _frac_mpf(d1) * B
-        z02 = _frac_mpf(e2) * A + _frac_mpf(d2) * B
+        z01 = _to_mpf(e1) * A + _to_mpf(d1) * B
+        z02 = _to_mpf(e2) * A + _to_mpf(d2) * B
         combos = (
             ("alpha,alpha", A, A),
             ("beta,beta", B, B),

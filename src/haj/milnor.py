@@ -7,6 +7,13 @@ exactly, pairs the logarithmic regulator current of a pair (f, g) with a
 loop in the plane, and realizes constant symbols as box cycles on powers
 of the multiplicative group.
 
+One engine computes the tame symbol T_p{f, g} = (-1)^{ab} g1^a / f1^b in
+the residue field k(p), Q[t]/(p) at a finite place, from the residues of
+f1 and g1 taken once. tame_symbol, the regulator's residue sum and Weil
+reciprocity all read it: reciprocity multiplies the norms N_{k(p)/Q} T_p,
+each T_p itself where k(p) = Q and otherwise the resultant of the minimal
+polynomial with the reduced residue.
+
 Branch convention, fixed once for the whole module: every logarithm is
 the principal branch, with cut along the negative real axis. The
 regulator pairing therefore carries a correction term supported on the
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -59,6 +67,7 @@ from .numkernel import (
     TangencySuspected,
     _derivative,
     _horner,
+    _to_mpf,
     complex_to_json,
     detect_crossings,
     integrate_path,
@@ -638,34 +647,49 @@ def _strip_place(f: RationalFunc, p: sympy.Poly) -> Tuple[int, sympy.Poly, sympy
     return order, parts[0], parts[1]
 
 
+def _tame(f: RationalFunc, g: RationalFunc, place: Place):
+    """(ord_p f, ord_p g, T_p{f, g}) at a place p of Q(t), exactly.
+
+    With f = pi^a f1 and g = pi^b g1 for a uniformizer pi at p, the tame
+    symbol is T_p = (-1)^{ab} g1^a / f1^b read in the residue field k(p).
+    At infinity pi = 1/t and k(p) = Q, where f1 takes the value of the
+    leading unit of f. At a finite place k(p) = Q[t]/(p): the residues
+    u = f1 mod p and v = g1 mod p are taken once and T_p is formed from
+    them there, reduced mod p. T_p comes as tame_symbol returns it.
+    """
+    if f.is_zero or g.is_zero:
+        raise ZeroEntry("tame symbol needs nonzero entries")
+    if place.is_infinite:
+        (a, u), (b, v) = ((h.ord_infinity, h.leading_unit()) for h in (f, g))
+        quotient = operator.truediv
+    else:
+        p = _poly(place.minpoly)
+
+        def quotient(x, y):
+            return (x * y.invert(p)).rem(p)
+
+        (a, u), (b, v) = (
+            (order, quotient(num, den))
+            for order, num, den in (_strip_place(h, p) for h in (f, g))
+        )
+    sign = -1 if (a * b) % 2 else 1
+    unit = quotient(v ** max(a, 0) * u ** max(-b, 0), v ** max(-a, 0) * u ** max(b, 0))
+    if place.is_infinite:
+        return a, b, sign * unit
+    residue = tuple(sign * c for c in _coeffs(unit))
+    return a, b, residue[0] if place.degree == 1 else residue
+
+
 def tame_symbol(pair: Sequence[RationalFunc], place: Place):
     """The tame symbol of {f, g} at a place of Q(t), exactly.
 
     Returns a Fraction at rational places and at infinity. At a place of
-    degree d > 1 it returns the residue representative as a coefficient
-    tuple of length d (constant term first) in the generator of the
-    residue field.
+    degree d > 1 it returns the residue representative, reduced mod the
+    minimal polynomial, as a coefficient tuple of length at most d
+    (constant term first) in the generator of the residue field.
     """
     f, g = pair
-    if f.is_zero or g.is_zero:
-        raise ZeroEntry("tame symbol needs nonzero entries")
-    if place.is_infinite:
-        a, b = f.ord_infinity, g.ord_infinity
-        sign = -1 if (a * b) % 2 else 1
-        return sign * g.leading_unit() ** a / f.leading_unit() ** b
-    p = _poly(place.minpoly)
-    a, fn, fd = _strip_place(f, p)
-    b, gn, gd = _strip_place(g, p)
-    sign = -1 if (a * b) % 2 else 1
-    f1 = RationalFunc(_coeffs(fn), _coeffs(fd))
-    g1 = RationalFunc(_coeffs(gn), _coeffs(gd))
-    h = (g1 ** a) / (f1 ** b)
-    if place.degree == 1:
-        root = -place.minpoly[0]
-        return sign * h.eval_exact(root)
-    hn, hd = _poly(h.numerator), _poly(h.denominator)
-    residue = (hn * hd.invert(p)).rem(p)
-    return tuple(c * sign for c in _coeffs(residue.mul_ground(1)))
+    return _tame(f, g, place)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -711,46 +735,23 @@ class ReciprocityReport:
         }
 
 
-def _norm_mod(p: sympy.Poly, h: sympy.Poly) -> Fraction:
-    """Residue-field norm of h mod p: det of multiplication by h on Q[t]/(p).
-
-    The determinant definition avoids any resultant sign convention; h
-    must be coprime to p.
-    """
-    import sympy
-
-    d = p.degree()
-    cur = h.rem(p)
-    if cur.is_zero:
-        raise ValueError("norm of zero residue class")
-    shift = sympy.Poly([1, 0], sympy.Symbol("t"), domain="QQ")
-    columns = []
-    for _ in range(d):
-        coeffs = list(reversed(cur.all_coeffs()))
-        coeffs += [sympy.Integer(0)] * (d - len(coeffs))
-        columns.append(coeffs)
-        cur = (cur * shift).rem(p)
-    det = sympy.Matrix(d, d, lambda i, j: columns[j][i]).det()
-    det = sympy.Rational(det)
-    return Fraction(int(det.p), int(det.q))
-
-
 def weil_reciprocity_check(
     pair: Sequence[RationalFunc], degree_cap: int = 6
 ) -> ReciprocityReport:
     """Check that the tame-symbol norms of {f, g} multiply to 1.
 
-    The contribution of a closed place p of degree d, with f = p^a f1 and
-    g = p^b g1, is the exact rational (-1)^{abd} N(g1)^a / N(f1)^b where
-    N is the residue-field norm of Q[t]/(p) over Q. The place at
-    infinity contributes through leading-coefficient units.
-    Raises DegreeTooHigh when an irreducible factor of degree above
-    ``degree_cap`` turns up.
+    Each closed place p where f or g has a zero or pole contributes
+    N_{k(p)/Q} T_p{f, g}, with T_p from the same engine as tame_symbol:
+    T_p itself at a rational place and at infinity, and at a place of
+    degree d > 1 the resultant of the minimal polynomial with the residue
+    of T_p reduced mod it, which is (-1)^{abd} N(g1)^a / N(f1)^b for
+    f = p^a f1 and g = p^b g1. Raises DegreeTooHigh when an irreducible
+    factor of degree above ``degree_cap`` turns up.
     """
     f, g = pair
     if f.is_zero or g.is_zero:
         raise ZeroEntry("reciprocity needs nonzero entries")
-    places: Dict[Tuple[Fraction, ...], sympy.Poly] = {}
+    minpolys = set()
     for h in (f, g):
         for coeffs in (h.numerator, h.denominator):
             for poly, _ in _monic_factors(coeffs)[1]:
@@ -759,29 +760,22 @@ def weil_reciprocity_check(
                     raise DegreeTooHigh(
                         f"irreducible factor of degree {d} exceeds the bound {degree_cap}"
                     )
-                places[_coeffs(poly)] = poly
+                minpolys.add(_coeffs(poly))
+    places = [Place(c) for c in sorted(minpolys, key=lambda c: (_deg(c), c))]
     contributions = []
     product = Fraction(1)
-    for key in sorted(places, key=lambda c: (_deg(c), tuple(c))):
-        p = places[key]
-        a, fn, fd = _strip_place(f, p)
-        b, gn, gd = _strip_place(g, p)
+    for place in places + [Place.infinity()]:
+        a, b, unit = _tame(f, g, place)
         if a == 0 and b == 0:
             continue
-        norm_f1 = _norm_mod(p, fn) / _norm_mod(p, fd)
-        norm_g1 = _norm_mod(p, gn) / _norm_mod(p, gd)
-        sign = -1 if (a * b * p.degree()) % 2 else 1
-        value = sign * norm_g1 ** a / norm_f1 ** b
-        contributions.append(
-            PlaceNorm(Place.algebraic(key), a, b, value)
-        )
-        product *= value
-    a, b = f.ord_infinity, g.ord_infinity
-    if a != 0 or b != 0:
-        sign = -1 if (a * b) % 2 else 1
-        value = sign * g.leading_unit() ** a / f.leading_unit() ** b
-        contributions.append(PlaceNorm(Place.infinity(), a, b, value))
-        product *= value
+        if place.degree > 1:
+            # N(T_p) = Res(minpoly, residue) for the reduced residue; sympy's
+            # resultant flips the sign for an unreduced one of odd degree
+            # above an odd d
+            norm = _poly(place.minpoly).resultant(_poly(unit))
+            unit = Fraction(int(norm.p), int(norm.q))
+        contributions.append(PlaceNorm(place, a, b, unit))
+        product *= unit
     outcome = "Holds" if product == 1 else "Violated"
     return ReciprocityReport(outcome, product, tuple(contributions))
 
@@ -867,8 +861,7 @@ def _enclosed(
         minpoly = _coeffs(factor)
         inside = []
         # t + c0 has the root -c0 exactly
-        roots = ([-mp.mpf(minpoly[0].numerator) / minpoly[0].denominator] if len(minpoly) == 2
-                 else poly_roots(minpoly, ctx))
+        roots = [-_to_mpf(minpoly[0])] if len(minpoly) == 2 else poly_roots(minpoly, ctx)
         for root in roots:
             distance = abs(root - center)
             if abs(distance - radius) <= edge:
@@ -1046,7 +1039,7 @@ def regulator_eval(
         crossing_docs: list = []
         for index, ((f, g), coeff) in enumerate(term_list):
             part_value, part_delta, crossings = _pair_regulator(f, g, loop, ctx)
-            weight = mp.mpf(coeff.numerator) / coeff.denominator
+            weight = _to_mpf(coeff)
             value += weight * part_value
             delta += weight * part_delta
             for c in crossings:
@@ -1095,7 +1088,7 @@ def indeterminacy_defect(
         base = (2j * mp.pi) ** 2
         ratio = mp.re(mp.mpc(value) / base)
         q = Fraction(float(ratio)).limit_denominator(max_den)
-        defect = abs(mp.mpc(value) - mp.mpf(q.numerator) / q.denominator * base)
+        defect = abs(mp.mpc(value) - _to_mpf(q) * base)
         return defect, q
 
 

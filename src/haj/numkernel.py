@@ -38,9 +38,11 @@ import cmath
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
+from mpmath.libmp import from_rational, round_nearest
 
 GUARD_DIGITS = 20
 
@@ -137,6 +139,12 @@ class PrecisionCtx:
     def doubled(self) -> "PrecisionCtx":
         """A context at twice the digits (for soundness amplification)."""
         return PrecisionCtx(self.digits * 2, cancelled=self.cancelled)
+
+
+def _to_mpf(q) -> mp.mpf:
+    """An exact rational (Fraction or int) as the nearest mpf at the
+    working precision: one rounding, to nearest, however long p and q are."""
+    return mp.mp.make_mpf(from_rational(q.numerator, q.denominator, mp.mp.prec, round_nearest))
 
 
 def complex_to_json(z, ctx: PrecisionCtx) -> dict:
@@ -412,7 +420,8 @@ def poly_roots(coeffs: Sequence, ctx: PrecisionCtx) -> list:
     """All complex roots of sum(coeffs[k] * w^k), constant term first.
 
     The leading coefficient must be nonzero; int and Fraction coefficients
-    are converted at the precision of the polish. The roots are seeded in
+    are converted by :func:`_to_mpf`, to nearest, at the precision of the
+    polish. The roots are seeded in
     double precision by :func:`_aberth_seeds` and polished by mpmath's
     Durand-Kerner at the working precision with 60 extra bits, under its
     own gate: every root's last correction below the working epsilon. From
@@ -435,7 +444,10 @@ def poly_roots(coeffs: Sequence, ctx: PrecisionCtx) -> list:
             # mp.polyroots converts the coefficients itself only when the
             # leading one is 1, and otherwise divides them by it as they are
             with mp.extraprec(extra):
-                converted = [mp.mpmathify(c) for c in high_first]
+                converted = [
+                    _to_mpf(c) if isinstance(c, (int, Fraction)) else mp.mpmathify(c)
+                    for c in high_first
+                ]
             try:
                 roots = mp.polyroots(
                     converted, maxsteps=limit, extraprec=extra, roots_init=start

@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .numkernel import BigComplex, NumKernelError, PrecisionCtx
+from .numkernel import BigComplex, NumKernelError, PrecisionCtx, _to_mpf
 
 __all__ = [
     "PrecisionExhausted",
@@ -541,7 +541,7 @@ def lattice_membership(
                 acc = vs[j]
                 for c, g in zip(coeffs, gs):
                     if c:
-                        acc -= mp.mpf(c.numerator) / c.denominator * g[j]
+                        acc -= _to_mpf(c) * g[j]
                 worst = max(worst, abs(acc))
             return worst
 

@@ -241,6 +241,19 @@ def test_root_of_center_needs_no_newton_iteration(monkeypatch):
     assert code == 0 and "error" not in doc
 
 
+def test_shrink_mode_resolves_the_root_of_center_once(monkeypatch):
+    import haj.cli as cli
+
+    calls = []
+    real = cli.poly_roots
+    monkeypatch.setattr(cli, "poly_roots", lambda c, ctx: calls.append(c) or real(c, ctx))
+    args = {"f": "t^2 - 3", "g": "t + 1", "radii": ["1/10", "1/100"],
+            "center": {"root_of": "t^2 - 3", "near": "1.7"}}
+    doc, code, _ = run_op("milnor-reg", RunConfig.from_mapping({"digits": 48}), args)
+    assert code == 0 and len(doc["result"]["loops"]) == 2
+    assert len(calls) == 1
+
+
 def test_root_of_center_on_a_double_root(runner):
     # the root finder runs on the squarefree part (t - 1)(t + 3), so the
     # double root at 1 is found from either seed
@@ -587,11 +600,51 @@ def test_cache_entry_roundtrip_and_checksum(runner, tmp_path):
 
     # tampering breaks the checksum; the entry is rejected and rebuilt
     doc = entry.to_json()
-    doc["payload"]["omega_alpha"]["re"] = doc["payload"]["omega_alpha"]["re"][:-2] + "77"
+    doc["payload"]["omega_alpha"]["re"][0] += 2
     path.write_text(json.dumps(doc))
     rescued = invoke(runner, args)
     assert rescued.output == cold.output
     assert PeriodCacheEntry.from_json(json.loads(path.read_text())).verify()
+
+
+def test_cache_is_byte_transparent_on_write_and_hit(runner, tmp_path):
+    # paper-14's chi2 has components that are zero, printed as rounding noise
+    # below 10^-digits; an exact cache keeps that noise identical
+    cache = tmp_path / "cache"
+    args = ["chi2", "--preset", "paper-14", "--digits", "64"]
+    bare = invoke(runner, args)
+    assert bare.exit_code == 0
+    manifest = tmp_path / "run.json"
+    for event in ("cache-write", "cache-hit"):
+        cached = invoke(runner, args + ["--cache-dir", str(cache), "--manifest", str(manifest)])
+        assert all(e.startswith(event) for e in json.loads(manifest.read_text())["cache_events"])
+        assert cached.output == bare.output
+
+
+def test_decimal_cache_entry_is_never_served(runner, tmp_path):
+    # an entry in the earlier decimal encoding, with a valid checksum, is
+    # rejected and rewritten, not parsed and not a crash
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    curve, ctx = EllipticCurve(8, 1), PrecisionCtx(48)
+    lat = compute_periods(curve, ctx)
+    key = PeriodCacheEntry.build(curve, lat, 48).key
+    with mp.workdps(68):
+        payload = {name: {"re": mp.nstr(w.real, 68), "im": mp.nstr(w.imag, 68)}
+                   for name, w in (("omega_alpha", lat.omega_alpha), ("omega_beta", lat.omega_beta))}
+    decimal = PeriodCacheEntry(key, payload, PeriodCacheEntry._digest(key, payload))
+    assert decimal.verify() and not decimal.revalidate(curve, ctx)
+    _cache_path(cache, key).write_text(json.dumps(decimal.to_json()))
+
+    manifest = tmp_path / "run.json"
+    args = ["periods", "--g2", "8", "--g3", "1", "--digits", "48"]
+    result = invoke(runner, args + ["--cache-dir", str(cache), "--manifest", str(manifest)])
+    assert result.exit_code == 0
+    events = json.loads(manifest.read_text())["cache_events"]
+    assert events[0].startswith("cache-rejected") and events[1].startswith("cache-write")
+    assert result.output == invoke(runner, args).output
+    rewritten = PeriodCacheEntry.from_json(json.loads(_cache_path(cache, key).read_text()))
+    assert rewritten.verify() and rewritten.revalidate(curve, ctx)
 
 
 def test_cache_entry_without_the_basis_rule_is_never_served(runner, tmp_path):

@@ -327,6 +327,118 @@ def test_reciprocity_zero_entry():
         weil_reciprocity_check((RationalFunc.const(0), T))
 
 
+
+# -- the tame-symbol engine against the formulas it replaced: a RationalFunc
+# quotient per place and a determinant norm, kept here as references
+
+
+def _ref_strip(h, p):
+    """ord_p h and the p-free numerator and denominator, by repeated division."""
+    order, parts = 0, []
+    for coeffs, sign in ((h.numerator, 1), (h.denominator, -1)):
+        poly = milnor._poly(coeffs)
+        while True:
+            quo, rem = poly.div(p)
+            if not rem.is_zero:
+                break
+            poly, order = quo, order + sign
+        parts.append(poly)
+    return order, parts[0], parts[1]
+
+
+def _ref_norm(p, h):
+    """N(h mod p) as the determinant of multiplication by h on Q[t]/(p)."""
+    import sympy
+
+    d = p.degree()
+    cur, columns = h.rem(p), []
+    for _ in range(d):
+        coeffs = list(reversed(cur.all_coeffs()))
+        columns.append(coeffs + [sympy.Integer(0)] * (d - len(coeffs)))
+        cur = (cur * sympy.Poly([1, 0], sympy.Symbol("t"), domain="QQ")).rem(p)
+    det = sympy.Rational(sympy.Matrix(d, d, lambda i, j: columns[j][i]).det())
+    return Fraction(int(det.p), int(det.q))
+
+
+def _ref_tame(f, g, place):
+    if place.is_infinite:
+        a, b = f.ord_infinity, g.ord_infinity
+        sign = -1 if (a * b) % 2 else 1
+        return sign * g.leading_unit() ** a / f.leading_unit() ** b
+    p = milnor._poly(place.minpoly)
+    a, fn, fd = _ref_strip(f, p)
+    b, gn, gd = _ref_strip(g, p)
+    sign = -1 if (a * b) % 2 else 1
+    f1 = RationalFunc(milnor._coeffs(fn), milnor._coeffs(fd))
+    g1 = RationalFunc(milnor._coeffs(gn), milnor._coeffs(gd))
+    h = (g1 ** a) / (f1 ** b)
+    if place.degree == 1:
+        return sign * h.eval_exact(-place.minpoly[0])
+    hn, hd = milnor._poly(h.numerator), milnor._poly(h.denominator)
+    return tuple(sign * c for c in milnor._coeffs((hn * hd.invert(p)).rem(p)))
+
+
+def _irreducible(rng, degree):
+    while True:
+        coeffs = tuple(Fraction(rng.randint(-4, 4)) for _ in range(degree)) + (Fraction(1),)
+        if milnor._poly(coeffs).is_irreducible:
+            return coeffs
+
+
+def _factored_pair(rng, degrees):
+    """f and g over one pool of monic irreducibles, orders in [-3, 3]."""
+    pool = [RationalFunc(_irreducible(rng, d)) for d in degrees]
+
+    def entry():
+        out = RationalFunc.const(Fraction(rng.choice([-3, -2, 2, 3, 5]), rng.randint(1, 4)))
+        for factor in rng.sample(pool, 2):
+            out = out * factor ** rng.choice([-3, -2, -1, 1, 2, 3])
+        return out
+
+    return entry(), entry()
+
+
+def test_reciprocity_norms_match_the_determinant_norm():
+    # places of degree 2-5 shared by f and g, so a and b are both nonzero;
+    # at places of odd degree, sympy's resultant of an unreduced residue of
+    # odd degree above it has the wrong sign, which the reduced residue avoids
+    rng = random.Random(20)
+    start = time.time()
+    for trial in range(24):
+        degrees = ((3, 5, 1), (2, 4, 3), (5, 3, 2))[trial % 3]
+        f, g = _factored_pair(rng, degrees)
+        report = weil_reciprocity_check((f, g))
+        assert report.holds, (str(f), str(g))
+        for c in report.contributions:
+            if c.place.is_infinite:
+                assert c.value == _ref_tame(f, g, c.place)
+                continue
+            p = milnor._poly(c.place.minpoly)
+            a, fn, fd = _ref_strip(f, p)
+            b, gn, gd = _ref_strip(g, p)
+            assert (c.order_f, c.order_g) == (a, b)
+            sign = -1 if (a * b * c.place.degree) % 2 else 1
+            norm_f1 = _ref_norm(p, fn) / _ref_norm(p, fd)
+            norm_g1 = _ref_norm(p, gn) / _ref_norm(p, gd)
+            assert c.value == sign * norm_g1 ** a / norm_f1 ** b, (str(f), str(g), c.to_json())
+    assert time.time() - start < 5.0
+
+
+def test_tame_symbol_matches_the_rational_function_formula():
+    rng = random.Random(21)
+    start = time.time()
+    for trial in range(40):
+        degree = 1 + trial % 4
+        place = Place(_irreducible(rng, degree))
+        other = RationalFunc(_irreducible(rng, rng.randint(1, 3)))
+        p = RationalFunc(place.minpoly)
+        f = p ** rng.randint(-3, 3) * rand_rf(rng, max_deg=3, den_deg=2)
+        g = p ** rng.randint(-3, 3) * other ** rng.choice([-1, 1]) * rand_rf(rng, max_deg=2)
+        for at in (place, Place.infinity()):
+            assert tame_symbol((f, g), at) == _ref_tame(f, g, at), (str(f), str(g), degree)
+    assert time.time() - start < 5.0
+
+
 # -- regulator pairing
 
 

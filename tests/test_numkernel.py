@@ -410,6 +410,38 @@ def test_non_monic_exact_coefficients():
         assert abs(roots[0] + mp.sqrt(2)) < CTX.tol and abs(roots[1] - mp.sqrt(2)) < CTX.tol
 
 
+def _exact_value(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def test_exact_rationals_convert_to_the_nearest_mpf():
+    # p/q with 400-digit p and q at 100 bits: one rounding, to nearest.
+    # Rounding p and q first, or rounding toward zero as mpmath's own
+    # Fraction conversion does, misses the nearest mpf on some of them
+    rng = random.Random(400)
+    missed = {"mpf(p)/mpf(q)": 0, "mpmathify": 0}
+    with mp.workprec(100):
+        for _ in range(100):
+            q = Fraction(rng.randrange(10**399, 10**400) * rng.choice((-1, 1)),
+                         rng.randrange(10**399, 10**400))
+            x = numkernel._to_mpf(q)
+            _, man, exp, bc = x._mpf_
+            assert abs(_exact_value(x) - q) <= Fraction(2) ** (exp + bc - 100) / 2
+            missed["mpf(p)/mpf(q)"] += mp.mpf(q.numerator) / mp.mpf(q.denominator) != x
+            missed["mpmathify"] += mp.mpmathify(q) != x
+    assert all(missed.values()), missed
+
+
+def test_poly_roots_converts_fractions_to_nearest(monkeypatch):
+    seen, real = [], mp.polyroots
+    monkeypatch.setattr(mp, "polyroots", lambda coeffs, **kw: seen.append(coeffs) or real(coeffs, **kw))
+    coeffs = (Fraction(-2, 3), Fraction(1, 7), Fraction(5, 3))
+    poly_roots(coeffs, CTX)
+    with CTX.work(), mp.extraprec(60):
+        assert seen[0] == [numkernel._to_mpf(c) for c in reversed(coeffs)]
+
+
 def test_double_root_converges_through_the_retry(monkeypatch):
     # (w - 1)^2 (w + 2): the seeded polish stalls at 60 extra bits and the
     # doubled-precision retry converges
