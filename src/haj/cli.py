@@ -49,7 +49,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from . import __version__
+from . import __version__, qpoly
 from .numkernel import (
     CircleAround,
     NonConvergence,
@@ -318,13 +318,11 @@ def _complex_from(v, path: str) -> mp.mpc:
 
 
 def _rf_from(text, path: str) -> RationalFunc:
-    import sympy  # loaded with the symbol algebra, not at start-up
-
     if not isinstance(text, str):
         raise SchemaError(path, "expected a rational-function expression in t")
     try:
         return RationalFunc.parse(text)
-    except (ValueError, TypeError, ZeroDivisionError, sympy.SympifyError) as exc:
+    except ValueError as exc:
         raise SchemaError(path, f"cannot parse {text!r}: {exc}") from None
 
 
@@ -766,10 +764,12 @@ def _center_from(args: dict, ctx: PrecisionCtx) -> mp.mpc:
                 raise SchemaError("inputs.center.root_of", "expected a polynomial in t")
             if len(poly.numerator) < 2:
                 raise SchemaError("inputs.center.root_of", "expected a nonconstant polynomial")
-            # p / p' in lowest terms has the numerator p / gcd(p, p'), with the
-            # same roots as p, each simple, so that a multiple root costs no
-            # doubled-precision retry in the root finder
-            part = RationalFunc(poly.numerator, poly.derivative().numerator).numerator
+            # p / gcd(p, p') has the same roots as p, each simple, so that a
+            # multiple root costs no doubled-precision retry in the root finder;
+            # it is scaled by 1/lc(p'), as the numerator of p / p' in lowest terms
+            p = poly.numerator
+            dp = qpoly.derivative(p)
+            part = qpoly.scale(qpoly.quo_rem(p, qpoly.gcd(p, dp))[0], 1 / dp[-1])
             seed = _complex_from(_need(center_doc, "near", "inputs.center"), "inputs.center.near")
             return min(poly_roots(part, ctx), key=lambda x: abs(x - seed))
         return _complex_from(center_doc, "inputs.center")
@@ -1101,7 +1101,6 @@ def render_doc(doc: dict, output_format: str) -> str:
 def _write_manifest(path: pathlib.Path, command: str, code: int,
                     elapsed: float, session: Session) -> None:
     import datetime
-    from importlib import metadata
 
     doc = {
         "schema": MANIFEST_SCHEMA,
@@ -1113,7 +1112,6 @@ def _write_manifest(path: pathlib.Path, command: str, code: int,
         "versions": {
             "haj": __version__,
             "mpmath": mpmath.__version__,
-            "sympy": metadata.version("sympy"),
         },
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

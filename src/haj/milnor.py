@@ -5,7 +5,9 @@ rational coefficients. The module rewrites them to a Steinberg normal
 form, evaluates tame symbols at places of Q(t), checks Weil reciprocity
 exactly, pairs the logarithmic regulator current of a pair (f, g) with a
 loop in the plane, and realizes constant symbols as box cycles on powers
-of the multiplicative group.
+of the multiplicative group. All of its exact algebra in Q[t] (parsing,
+canonical form, factorization, residues, resultants, printing) runs in
+qpoly.
 
 One engine computes the tame symbol T_p{f, g} = (-1)^{ab} g1^a / f1^b in
 the residue field k(p), Q[t]/(p) at a finite place, from the residues of
@@ -52,12 +54,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import operator
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from mpmath import mp
 
+from . import qpoly
 from .cycles import CurveRef, PointSymbol, ZeroCycle, box_cycle, zero_cycle
 from .invariants import CutGrazing, InvariantError, StratificationOverflow
 from .numkernel import (
@@ -65,7 +67,6 @@ from .numkernel import (
     NumKernelError,
     PrecisionCtx,
     TangencySuspected,
-    _derivative,
     _horner,
     _to_mpf,
     complex_to_json,
@@ -75,9 +76,6 @@ from .numkernel import (
     trapezoid_nodes,
 )
 from .relations import LatticeMembership, lattice_membership
-
-if TYPE_CHECKING:
-    import sympy
 
 __all__ = [
     "DegreeTooHigh",
@@ -112,25 +110,6 @@ class DegreeTooHigh(MilnorError):
 # Exact rational functions of one variable
 # ---------------------------------------------------------------------------
 
-# sympy is imported where it is used: only the exact symbol algebra needs it,
-# and it is about half of the package's import footprint.
-
-
-def _poly(coeffs: Sequence[Fraction]) -> sympy.Poly:
-    import sympy
-
-    return sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(tuple(coeffs))]
-        or [0],
-        sympy.Symbol("t"),
-        domain="QQ",
-    )
-
-
-def _coeffs(poly: sympy.Poly) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
-
-
 def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("coefficients must be exact rationals, not floats")
@@ -142,13 +121,6 @@ def _deg(coeffs: Tuple[Fraction, ...]) -> int:
         if coeffs[k] != 0:
             return k
     return 0
-
-
-def _horner_exact(coeffs: Tuple[Fraction, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,19 +136,19 @@ class RationalFunc:
     denominator: Tuple[Fraction, ...] = (Fraction(1),)
 
     def __post_init__(self) -> None:
-        num = tuple(_as_fraction(c) for c in self.numerator) or (Fraction(0),)
-        den = tuple(_as_fraction(c) for c in self.denominator) or (Fraction(1),)
-        if all(c == 0 for c in den):
+        num = qpoly.trim([_as_fraction(c) for c in self.numerator])
+        den = qpoly.trim([_as_fraction(c) for c in self.denominator or (1,)])
+        if not den:
             raise ValueError("denominator is identically zero")
-        p, q = _poly(num), _poly(den)
-        if p.is_zero:
+        if not num:
             num, den = (Fraction(0),), (Fraction(1),)
         else:
-            g = p.gcd(q)
-            p, q = p.exquo(g), q.exquo(g)
-            lead = q.LC()
-            p, q = p.quo_ground(lead), q.quo_ground(lead)
-            num, den = _coeffs(p), _coeffs(q)
+            if len(den) > 1:
+                g = qpoly.gcd(num, den)
+                num, den = qpoly.quo_rem(num, g)[0], qpoly.quo_rem(den, g)[0]
+            if den[-1] != 1:
+                lead = 1 / den[-1]
+                num, den = qpoly.scale(num, lead), qpoly.scale(den, lead)
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
@@ -188,19 +160,12 @@ class RationalFunc:
 
     @staticmethod
     def parse(text: str) -> "RationalFunc":
-        """Parse a rational expression in t, e.g. ``"(t^2 - 2)/4"``."""
-        import sympy
+        """Parse a rational expression in t, e.g. ``"(t^2 - 2)/4"``.
 
-        t = sympy.Symbol("t")
-        expr = sympy.sympify(text.replace("^", "**"), rational=True)
-        extra = expr.free_symbols - {t}
-        if extra:
-            raise ValueError(f"unknown symbols {sorted(map(str, extra))} in {text!r}")
-        num, den = sympy.together(expr).as_numer_denom()
-        return RationalFunc(
-            _coeffs(sympy.Poly(num, t, domain="QQ")),
-            _coeffs(sympy.Poly(den, t, domain="QQ")),
-        )
+        Raises qpoly.ParseError (a ValueError) on anything outside the
+        parser's grammar or size caps.
+        """
+        return RationalFunc(*qpoly.parse(text))
 
     @staticmethod
     def from_json(doc: Mapping) -> "RationalFunc":
@@ -247,25 +212,23 @@ class RationalFunc:
 
     # -- arithmetic (always re-canonicalized by the constructor)
 
-    def _pair(self) -> Tuple[sympy.Poly, sympy.Poly]:
-        return _poly(self.numerator), _poly(self.denominator)
-
     def __mul__(self, other: "RationalFunc") -> "RationalFunc":
-        a, b = self._pair()
-        c, d = other._pair()
-        return RationalFunc(_coeffs(a * c), _coeffs(b * d))
+        return RationalFunc(
+            qpoly.mul(self.numerator, other.numerator),
+            qpoly.mul(self.denominator, other.denominator),
+        )
 
     def __truediv__(self, other: "RationalFunc") -> "RationalFunc":
         if other.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        a, b = self._pair()
-        c, d = other._pair()
-        return RationalFunc(_coeffs(a * d), _coeffs(b * c))
+        return RationalFunc(
+            qpoly.mul(self.numerator, other.denominator),
+            qpoly.mul(self.denominator, other.numerator),
+        )
 
     def __add__(self, other: "RationalFunc") -> "RationalFunc":
-        a, b = self._pair()
-        c, d = other._pair()
-        return RationalFunc(_coeffs(a * d + c * b), _coeffs(b * d))
+        (a, b), (c, d) = (self.numerator, self.denominator), (other.numerator, other.denominator)
+        return RationalFunc(qpoly.add(qpoly.mul(a, d), qpoly.mul(c, b)), qpoly.mul(b, d))
 
     def __sub__(self, other: "RationalFunc") -> "RationalFunc":
         return self + (-other)
@@ -286,39 +249,47 @@ class RationalFunc:
         return RationalFunc.const(1) - self
 
     def derivative(self) -> "RationalFunc":
-        p, q = self._pair()
+        p, q = self.numerator, self.denominator
         return RationalFunc(
-            _coeffs(p.diff() * q - p * q.diff()), _coeffs(q * q)
+            qpoly.sub(qpoly.mul(qpoly.derivative(p), q), qpoly.mul(p, qpoly.derivative(q))),
+            qpoly.mul(q, q),
         )
 
     # -- evaluation
 
     def eval_exact(self, x) -> Fraction:
         x = _as_fraction(x)
-        den = _horner_exact(self.denominator, x)
+        den = qpoly.horner(self.denominator, x)
         if den == 0:
             raise ZeroDivisionError(f"pole at t = {x}")
-        return _horner_exact(self.numerator, x) / den
+        return qpoly.horner(self.numerator, x) / den
 
     def eval_mpc(self, z):
         return _horner(self.numerator, z) / _horner(self.denominator, z)
 
-    def dlog_mpc(self, z):
-        """(f'/f)(z) without forming the derivative quotient."""
-        out = _horner(_derivative(self.numerator), z) / _horner(self.numerator, z)
-        if self.denominator != (Fraction(1),):
-            out -= _horner(_derivative(self.denominator), z) / _horner(
-                self.denominator, z
-            )
-        return out
+    def dlog_sampler(self):
+        """z -> (f'/f)(z), the coefficients converted once, to the nearest
+        mpf at the current working precision."""
+        parts = [
+            (sign, [_to_mpf(c) for c in reversed(p)])
+            for sign, p in ((1, self.numerator), (-1, self.denominator))
+            if len(p) > 1
+        ]
+
+        def dlog(z):
+            out = mp.mpc(0)
+            for sign, coeffs in parts:
+                value, slope = mp.polyval(coeffs, z, derivative=True)
+                out += sign * slope / value
+            return out
+
+        return dlog
 
     def __str__(self) -> str:
-        import sympy
-
-        num = sympy.sstr(_poly(self.numerator).as_expr())
+        num = qpoly.to_str(self.numerator)
         if self.denominator == (Fraction(1),):
             return num
-        return f"({num})/({sympy.sstr(_poly(self.denominator).as_expr())})"
+        return f"({num})/({qpoly.to_str(self.denominator)})"
 
     def to_json(self) -> dict:
         doc = {"num": [str(c) for c in self.numerator]}
@@ -416,25 +387,6 @@ class MilnorSymbolSum:
 # Steinberg normal form
 # ---------------------------------------------------------------------------
 
-def _monic_factors(coeffs: Tuple[Fraction, ...]) -> Tuple[Fraction, list]:
-    """Factor a polynomial over Q into a unit and monic irreducibles.
-
-    sympy's factor lists keep primitive integer factors (2t - 5 comes
-    back with content 1/2), so the leading coefficients are folded into
-    the unit here.
-    """
-    content, factors = _poly(coeffs).factor_list()
-    unit = Fraction(int(content.p), int(content.q))
-    out = []
-    for poly, exp in factors:
-        lead = poly.LC()
-        if lead != 1:
-            unit *= Fraction(int(lead.p), int(lead.q)) ** int(exp)
-            poly = poly.monic()
-        out.append((poly, int(exp)))
-    return unit, out
-
-
 # bounded, so that a long --stdio process normalizing many distinct symbols
 # keeps a fixed footprint
 @functools.lru_cache(maxsize=256)
@@ -449,10 +401,10 @@ def _entry_atoms(f: RationalFunc) -> Tuple[Tuple[RationalFunc, int], ...]:
     atoms: list = []
     unit = Fraction(1)
     for coeffs, sign in ((f.numerator, 1), (f.denominator, -1)):
-        part_unit, factors = _monic_factors(coeffs)
+        part_unit, factors = qpoly.factor(coeffs)
         unit *= part_unit ** sign
         for poly, exp in factors:
-            atoms.append((RationalFunc(_coeffs(poly)), sign * exp))
+            atoms.append((RationalFunc(poly), sign * exp))
     if unit != 1:
         atoms.insert(0, (RationalFunc.const(unit), 1))
     return tuple(atoms)
@@ -603,7 +555,8 @@ class Place:
             return
         if _deg(coeffs) < 1 or coeffs[_deg(coeffs)] != 1:
             raise ValueError("finite places need a monic minimal polynomial")
-        if not _poly(coeffs).is_irreducible:
+        factors = qpoly.factor(coeffs)[1]
+        if len(factors) != 1 or factors[0][1] != 1:
             raise ValueError("minimal polynomial must be irreducible over Q")
 
     @staticmethod
@@ -631,18 +584,16 @@ class Place:
         return "infinity" if self.is_infinite else [str(c) for c in self.minpoly]
 
 
-def _strip_place(f: RationalFunc, p: sympy.Poly) -> Tuple[int, sympy.Poly, sympy.Poly]:
+def _strip_place(f: RationalFunc, p: tuple) -> Tuple[int, tuple, tuple]:
     """Order of f at the place of p plus the p-free numerator/denominator."""
     order = 0
     parts = []
-    for coeffs, sign in ((f.numerator, 1), (f.denominator, -1)):
-        poly, mult = _poly(coeffs), 0
-        while not poly.is_zero:
-            quo, rem = poly.div(p)
-            if not rem.is_zero:
+    for poly, sign in ((f.numerator, 1), (f.denominator, -1)):
+        while True:
+            quo, rem = qpoly.quo_rem(poly, p)
+            if rem:
                 break
-            poly, mult = quo, mult + 1
-        order += sign * mult
+            poly, order = quo, order + sign
         parts.append(poly)
     return order, parts[0], parts[1]
 
@@ -661,23 +612,17 @@ def _tame(f: RationalFunc, g: RationalFunc, place: Place):
         raise ZeroEntry("tame symbol needs nonzero entries")
     if place.is_infinite:
         (a, u), (b, v) = ((h.ord_infinity, h.leading_unit()) for h in (f, g))
-        quotient = operator.truediv
+        unit = (v**a / u**b,)
     else:
-        p = _poly(place.minpoly)
-
-        def quotient(x, y):
-            return (x * y.invert(p)).rem(p)
-
+        p = place.minpoly
         (a, u), (b, v) = (
-            (order, quotient(num, den))
+            (order, qpoly.quo_rem(qpoly.mul(num, qpoly.inverse_mod(den, p)), p)[1])
             for order, num, den in (_strip_place(h, p) for h in (f, g))
         )
+        unit = qpoly.quo_rem(qpoly.mul(qpoly.pow_mod(v, a, p), qpoly.pow_mod(u, -b, p)), p)[1]
     sign = -1 if (a * b) % 2 else 1
-    unit = quotient(v ** max(a, 0) * u ** max(-b, 0), v ** max(-a, 0) * u ** max(b, 0))
-    if place.is_infinite:
-        return a, b, sign * unit
-    residue = tuple(sign * c for c in _coeffs(unit))
-    return a, b, residue[0] if place.degree == 1 else residue
+    residue = tuple(Fraction(sign * c) for c in unit)
+    return a, b, residue[0] if place.degree <= 1 else residue
 
 
 def tame_symbol(pair: Sequence[RationalFunc], place: Place):
@@ -754,13 +699,13 @@ def weil_reciprocity_check(
     minpolys = set()
     for h in (f, g):
         for coeffs in (h.numerator, h.denominator):
-            for poly, _ in _monic_factors(coeffs)[1]:
-                d = poly.degree()
+            for poly, _ in qpoly.factor(coeffs)[1]:
+                d = len(poly) - 1
                 if d > degree_cap:
                     raise DegreeTooHigh(
                         f"irreducible factor of degree {d} exceeds the bound {degree_cap}"
                     )
-                minpolys.add(_coeffs(poly))
+                minpolys.add(poly)
     places = [Place(c) for c in sorted(minpolys, key=lambda c: (_deg(c), c))]
     contributions = []
     product = Fraction(1)
@@ -769,11 +714,9 @@ def weil_reciprocity_check(
         if a == 0 and b == 0:
             continue
         if place.degree > 1:
-            # N(T_p) = Res(minpoly, residue) for the reduced residue; sympy's
-            # resultant flips the sign for an unreduced one of odd degree
-            # above an odd d
-            norm = _poly(place.minpoly).resultant(_poly(unit))
-            unit = Fraction(int(norm.p), int(norm.q))
+            # N(T_p) = Res(minpoly, residue) for the monic minpoly and the
+            # residue reduced mod it
+            unit = qpoly.resultant(place.minpoly, unit)
         contributions.append(PlaceNorm(place, a, b, unit))
         product *= unit
     outcome = "Holds" if product == 1 else "Violated"
@@ -857,8 +800,7 @@ def _enclosed(
     center, radius = mp.mpc(loop.center), mp.mpf(loop.radius)
     edge = mp.sqrt(ctx.tol) * radius
     count, places, ratio = 0, {}, mp.inf
-    for factor, mult in _monic_factors(coeffs)[1]:
-        minpoly = _coeffs(factor)
+    for minpoly, mult in qpoly.factor(coeffs)[1]:
         inside = []
         # t + c0 has the root -c0 exactly
         roots = [-_to_mpf(minpoly[0])] if len(minpoly) == 2 else poly_roots(minpoly, ctx)
@@ -903,7 +845,7 @@ def _check_value(f, g, loop, nodes, crossings, cut_logs, windings):
     of g inside the loop.
     """
     two_pi_i = 2j * mp.pi
-    a, h = integrate_path((f.dlog_mpc, g.dlog_mpc), loop, nodes, _CHECK_CTX)
+    a, h = integrate_path((f.dlog_sampler(), g.dlog_sampler()), loop, nodes, _CHECK_CTX)
     w, w_g = (int(mp.nint(mp.re(c[0] / two_pi_i))) for c in (a, h))
     if (w, w_g) != windings:
         raise InvariantError(

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -19,6 +20,7 @@ from haj.cli import (
     _cache_path,
     _loop_from,
     _pool_size,
+    _rf_from,
     load_preset,
     main,
     render_doc,
@@ -769,6 +771,63 @@ def test_regulator_request_loads_no_array_library():
     out = subprocess.run([sys.executable, "-c", probe, request], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_op_loads_sympy():
+    # the exact symbol algebra is haj.qpoly: every preset, milnor-reg in its
+    # three forms, tame at a degree-2 place and weil leave sympy unimported
+    loop = {"center": {"root_of": "t^2 - 2", "near": "1.4"}, "config": {"digits": 48}}
+    requests = [{"op": load_preset(name)["op"], "preset": name} for name in PRESET_NAMES] + [
+        {"op": "milnor-reg", "f": "(t^2 - 2)*(t + 1)", "g": "t + 3", "radius": "1/10", **loop},
+        {"op": "milnor-reg", "f": "t^2 - 2", "g": "t + 3", "radii": ["1/10", "1/100"], **loop},
+        {"op": "milnor-reg", "pairs": [{"f": "t^2 - 2", "g": "t + 3"},
+                                       {"f": "t - 1", "g": "2", "coeff": "1/2"}],
+         "radius": "1/10", **loop},
+        {"op": "tame", "f": "(t^2 + 1)*t", "g": "(t^2 + 1)^2/(t - 3)", "place": "t^2 + 1"},
+        {"op": "weil", "random": 4, "seed": 3, "max_deg": 3},
+        {"op": "weil", "f": "(t^2 + 1)*(t - 2)", "g": "t^3 - 2"},
+    ]
+    probe = ("import json, sys, haj.cli\n"
+             "for line in sys.argv[1:]:\n"
+             "    out, code = haj.cli._stdio_one(line)\n"
+             "    assert code == 0, out\n"
+             "print('sympy' in sys.modules)")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe, *map(json.dumps, requests)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_expression_injection_is_a_schema_error():
+    with pytest.raises(SchemaError) as err:
+        _rf_from('__import__("os").getpid() + t', "inputs.f")
+    assert err.value.path == "inputs.f"
+
+
+def test_stdio_answers_every_line_after_a_refused_expression(runner):
+    tame = {"op": "tame", "g": "t - 1", "place": "1", "config": {"digits": 48}}
+    requests = "\n".join([json.dumps({**tame, "f": '__import__("os").getpid()'}),
+                          json.dumps({**tame, "f": "t^2 - 3"})])
+    result = runner.invoke(main, ["--stdio"], input=requests + "\n")
+    assert result.exit_code == 2
+    first, second = _stdio_lines(result)
+    assert first["error"]["type"] == "schema" and first["error"]["field"] == "inputs.f"
+    assert second["result"]["value"] == "-1/2"
+
+
+def test_a_high_power_is_refused_before_expansion():
+    start = time.perf_counter()
+    with pytest.raises(SchemaError):
+        _rf_from("(t+1)^(10^4)", "inputs.f")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_huge_coefficient_is_a_schema_error():
+    args = {"f": "10^(10^5)*t", "g": "t - 2", "place": "1"}
+    doc, code, _ = run_op("tame", RunConfig(digits=48), args)
+    assert code == 2
+    assert doc["error"]["type"] == "schema" and doc["error"]["field"] == "inputs.f"
 
 
 def test_stdio_error_handling(runner):
